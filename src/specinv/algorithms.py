@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .losses import _sq_norm, inconsistency, magnitude_mismatch, mixing_error
+from .losses import _sq_dist, inconsistency, magnitude_mismatch, mixing_error
 from .projectors import (
     p_cons,
     p_mag,
@@ -116,59 +116,71 @@ def blend_mix_cons(y: np.ndarray, z: np.ndarray, weights: np.ndarray, sigma: flo
     return (y + sigma * weights * z) / (1.0 + sigma * weights)
 
 
-def step_misi(sources, mixture, mags, cfg: StftConfig) -> np.ndarray:
-    """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
+def step_misi(sources, mixture, mags, cfg: StftConfig, *, cons=None) -> np.ndarray:
+    """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights.
+
+    In every step, ``cons`` is ``p_cons(sources, cfg)`` when the caller
+    already has it; by default the step computes it.
+    """
+    z = p_cons(sources, cfg) if cons is None else cons
     w = weights_uniform(sources.shape[0], sources.shape[1:])
-    return p_mix(p_mag(p_cons(sources, cfg), mags), mixture, w)
+    return p_mix(p_mag(z, mags), mixture, w)
 
 
-def step_mix_incons(sources, mixture, weights, sigma: float, cfg: StftConfig) -> np.ndarray:
+def step_mix_incons(sources, mixture, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
         return p_mix(sources, mixture, weights)
+    z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
-        return p_cons(sources, cfg)
+        return z
     y = p_mix(sources, mixture, weights)
-    z = p_cons(sources, cfg)
     return blend_mix_cons(y, z, weights, sigma)
 
 
-def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cfg: StftConfig) -> np.ndarray:
+def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """As step_mix_incons but with the target magnitudes imposed exactly."""
     if sigma == 0.0:
         return p_mag(p_mix(sources, mixture, weights), mags)
+    z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
         # Per-source Griffin-Lim update, no mixing constraint.
-        return p_mag(p_cons(sources, cfg), mags)
+        return p_mag(z, mags)
     y = p_mix(sources, mixture, weights)
-    z = p_cons(sources, cfg)
     return p_mag(y + sigma * weights * z, mags)
 
 
-def step_incons_hardmix(sources, mixture, cfg: StftConfig) -> np.ndarray:
+def step_incons_hardmix(sources, mixture, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Consistency objective under a hard mixing constraint.
 
     Non-iterative: the correction term is itself consistent, so a second
     application leaves the estimate unchanged.
     """
-    z = p_cons(sources, cfg)
+    z = p_cons(sources, cfg) if cons is None else cons
     w = weights_uniform(sources.shape[0], sources.shape[1:])
     return p_mix(z, mixture, w)
 
 
-def step_mag_incons_hardmix(sources, mixture, mags, sigma: float, cfg: StftConfig) -> np.ndarray:
+def step_mag_incons_hardmix(sources, mixture, mags, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
     n_sources = sources.shape[0]
-    if sigma == SIGMA_INF:
-        w = p_cons(sources, cfg)
+    if sigma == 0.0:
+        w = p_mag(sources, mags)
     else:
-        u = p_mag(sources, mags)
-        if sigma == 0.0:
-            w = u
+        z = p_cons(sources, cfg) if cons is None else cons
+        if sigma == SIGMA_INF:
+            w = z
         else:
-            w = (u + sigma * p_cons(sources, cfg)) / (1.0 + sigma)
+            w = (p_mag(sources, mags) + sigma * z) / (1.0 + sigma)
     uni = weights_uniform(n_sources, sources.shape[1:])
     return p_mix(w, mixture, uni)
+
+
+def _step_applies_g(family: Family, sigma: float) -> bool:
+    """Whether one step of ``family`` at ``sigma`` computes P_cons(S)."""
+    if family in (Family.MISI, Family.INCONS_HARDMIX):
+        return True
+    return family is not Family.AM and sigma != 0.0
 
 
 def _make_weights(spec: AlgorithmSpec, mags: np.ndarray) -> np.ndarray:
@@ -187,68 +199,75 @@ def run(
 ) -> RunTrace:
     """Run an algorithm from the amplitude-mask initialization.
 
-    Records all three losses at every iterate (index 0 = initialization);
-    batch drivers that only need the estimates can pass
-    ``record_losses=False`` to skip the per-iterate consistency transforms.
-    ``on_iterate(k, sources)`` is called at the initialization and after
-    every step; it must not mutate its argument.  Deterministic for fixed
-    inputs.
+    Records all three losses at every iterate (index 0 = initialization).
+    Iterate k's losses are taken at the start of step k+1; when that step
+    applies the consistency projection, its G(S_k) also gives
+    ``inconsistency(S_k)``, so recording costs one extra G per run (at the
+    last iterate) rather than one per iterate.  Batch drivers that only need
+    the estimates pass ``record_losses=False``.  ``on_iterate(k, sources)``
+    is called at the initialization and after every step; it must not
+    mutate its argument.  Deterministic for fixed inputs.
     """
     mixture = np.asarray(mixture, dtype=np.complex128)
     mags = np.asarray(mags, dtype=np.float64)
     warnings = spec.validation_warnings()
     weights = _make_weights(spec, mags)
+    sigma = spec.sigma
+    step = {
+        Family.AM: None,
+        Family.MISI: lambda s, cons: step_misi(s, mixture, mags, cfg, cons=cons),
+        Family.MIX_INCONS: lambda s, cons: step_mix_incons(s, mixture, weights, sigma, cfg, cons=cons),
+        Family.MIX_INCONS_HARDMAG: lambda s, cons: step_mix_incons_hardmag(
+            s, mixture, mags, weights, sigma, cfg, cons=cons
+        ),
+        Family.INCONS_HARDMIX: lambda s, cons: step_incons_hardmix(s, mixture, cfg, cons=cons),
+        Family.MAG_INCONS_HARDMIX: lambda s, cons: step_mag_incons_hardmix(s, mixture, mags, sigma, cfg, cons=cons),
+    }[spec.family]
+    # Only a recorded run computes G(S_k) ahead of the step, to share it.
+    share_cons = record_losses and _step_applies_g(spec.family, sigma)
 
     sources = init_amplitude_mask(mixture, mags)
     n_steps = 0 if spec.family is Family.AM else spec.iterations
 
     h, i, m = [], [], []
 
-    def record(current):
-        if record_losses:
-            h.append(mixing_error(current, mixture))
-            i.append(inconsistency(current, cfg))
-            m.append(magnitude_mismatch(current, mags))
+    def record(current, cons=None):
+        h.append(mixing_error(current, mixture))
+        i.append(inconsistency(current, cfg, cons=cons))
+        m.append(magnitude_mismatch(current, mags))
 
-    record(sources)
     if on_iterate is not None:
         on_iterate(0, sources)
 
     executed = 0
     for k in range(1, n_steps + 1):
         prev = sources
-        if spec.family is Family.MISI:
-            sources = step_misi(sources, mixture, mags, cfg)
-        elif spec.family is Family.MIX_INCONS:
-            sources = step_mix_incons(sources, mixture, weights, spec.sigma, cfg)
-        elif spec.family is Family.MIX_INCONS_HARDMAG:
-            sources = step_mix_incons_hardmag(sources, mixture, mags, weights, spec.sigma, cfg)
-        elif spec.family is Family.INCONS_HARDMIX:
-            sources = step_incons_hardmix(sources, mixture, cfg)
-        elif spec.family is Family.MAG_INCONS_HARDMIX:
-            sources = step_mag_incons_hardmix(sources, mixture, mags, spec.sigma, cfg)
-        else:  # pragma: no cover - AM never reaches here
-            raise ValueError(f"unknown family: {spec.family}")
+        cons = p_cons(prev, cfg) if share_cons else None
+        if record_losses:
+            record(prev, cons)
+        sources = step(prev, cons)
+        del cons
         if not np.all(np.isfinite(sources)):
             raise FloatingPointError("non-finite estimate produced")
-        record(sources)
         executed = k
         if on_iterate is not None:
             on_iterate(k, sources)
         if spec.stop_tol is not None:
-            denom = max(np.sqrt(_sq_norm(prev)), 1e-300)
-            if np.sqrt(_sq_norm(sources - prev)) < spec.stop_tol * denom:
+            denom = max(np.sqrt(_sq_dist(prev, 0.0)), 1e-300)
+            if np.sqrt(_sq_dist(sources, prev)) < spec.stop_tol * denom:
                 break
+    if record_losses:
+        record(sources)
 
     h = np.asarray(h)
     i = np.asarray(i)
     m = np.asarray(m)
     combined = None
-    if record_losses and spec.sigma != SIGMA_INF and spec.family not in SIGMA_FREE:
+    if record_losses and sigma != SIGMA_INF and spec.family not in SIGMA_FREE:
         if spec.family is Family.MIX_INCONS:
-            combined = h + spec.sigma * i
+            combined = h + sigma * i
         elif spec.family is Family.MAG_INCONS_HARDMIX:
-            combined = m + spec.sigma * i
+            combined = m + sigma * i
     return RunTrace(
         mixing=h,
         inconsistency=i,

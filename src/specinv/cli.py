@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Thin adapters only: every numerical result comes from the library modules.
-Exit codes: 0 success, 2 I/O error, 3 usage/validation error.
+Exit codes: 0 success, 2 I/O error, 3 usage/validation error, 4 numerical
+failure (an algorithm produced a non-finite estimate).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .spectral import StftConfig, TimeSignal, istft, stft
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_USAGE = 3
+EXIT_NUMERIC = 4
 
 # Algorithm names accepted by --algo: families plus their named special cases.
 ALGO_PRESETS = {
@@ -183,6 +185,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

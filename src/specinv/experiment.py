@@ -11,10 +11,11 @@ regardless of worker count.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +65,45 @@ class SweepConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        if not self.families or not self.sigma_grid or not self.degradation_levels:
-            raise ValueError("families, sigma_grid and degradation_levels must be non-empty")
-        if self.max_iterations < 1:
-            raise ValueError("iteration cap must be >= 1")
-        if self.jobs is not None and (not isinstance(self.jobs, int) or self.jobs < 1):
+        for key in ("families", "sigma_grid", "degradation_levels"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{key} must be a non-empty list, got {value!r}")
+        if not all(_is_real(v) and v >= 0 for v in self.sigma_grid):
+            raise ValueError(f"sigma_grid must hold numbers >= 0, got {self.sigma_grid!r}")
+        if not all(_is_real(v) and 0 <= v < SIGMA_INF for v in self.degradation_levels):
+            raise ValueError(
+                f"degradation_levels must hold finite numbers >= 0, got {self.degradation_levels!r}"
+            )
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if self.jobs is not None and (not _is_int(self.jobs) or self.jobs < 1):
             raise ValueError(f"jobs must be an integer >= 1 or null, got {self.jobs!r}")
+        if self.weight_scheme not in ("uniform", "magratio"):
+            raise ValueError(f"weight_scheme must be 'uniform' or 'magratio', got {self.weight_scheme!r}")
+        if not isinstance(self.record_timing, bool):
+            raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         self.families = [Family(f).value for f in self.families]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def load_sweep_config(path) -> SweepConfig:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(SweepConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    missing = [key for key in ("manifest", "output_dir") if key not in doc]
+    if missing:
+        raise ValueError(f"missing config key(s): {', '.join(missing)}")
     if "sigma_grid" in doc:
         doc["sigma_grid"] = [parse_sigma(s) for s in doc["sigma_grid"]]
     base = Path(path).parent
@@ -227,15 +256,20 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
             max_iterations=max(job.iterations, cfg.max_iterations),
         )
         wanted = set(job.record_iters)
-        start = time.perf_counter()
         per_iter: dict[int, tuple[float, float]] = {}
+        # The clock stops while the observer scores an iterate, so wall_ms
+        # times the algorithm alone.
+        start = time.perf_counter()
+        paused = 0.0
 
         def observe(k, sources):
+            nonlocal paused
+            entered = time.perf_counter()
             if k in wanted:
+                elapsed = (entered - start - paused) * 1e3 if cfg.record_timing else 0.0
                 est = istft(sources[0], stft_cfg, len(clean))
-                value = sdr(clean.samples, est)
-                elapsed = (time.perf_counter() - start) * 1e3 if cfg.record_timing else 0.0
-                per_iter[k] = (value, elapsed)
+                per_iter[k] = (sdr(clean.samples, est), elapsed)
+            paused += time.perf_counter() - entered
 
         algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
         for k in sorted(wanted):
@@ -259,7 +293,7 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
 def _process_item_safe(task: _ItemTask):
     try:
         return _process_item(task), None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         return [], f"{task.item_id}: {exc}"
 
 

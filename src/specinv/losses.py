@@ -12,8 +12,17 @@ import numpy as np
 from .spectral import StftConfig, g_operator
 
 
-def _sq_norm(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a) ** 2))
+def _sq_dist(a: np.ndarray, b) -> float:
+    """||a - b||^2, squaring the difference in place (one temporary).
+
+    A complex difference is read as its real and imaginary float parts.
+    Plain sums, not BLAS: see ``metrics.sdr``.
+    """
+    d = np.subtract(a, b).ravel(order="K")
+    if np.iscomplexobj(d):
+        d = d.view(np.float64)
+    np.multiply(d, d, out=d)
+    return float(np.sum(d))
 
 
 def mixing_error(sources: np.ndarray, mixture: np.ndarray) -> float:
@@ -22,15 +31,23 @@ def mixing_error(sources: np.ndarray, mixture: np.ndarray) -> float:
     mixture = np.asarray(mixture, dtype=np.complex128)
     if sources.ndim != 3 or mixture.shape != sources.shape[1:]:
         raise ValueError("shape mismatch between sources and mixture")
-    return _sq_norm(mixture - sources.sum(axis=0))
+    return _sq_dist(mixture, sources.sum(axis=0))
 
 
-def inconsistency(sources: np.ndarray, cfg: StftConfig) -> float:
-    """sum_j ||S_j - G(S_j)||^2."""
+def inconsistency(sources: np.ndarray, cfg: StftConfig, cons: np.ndarray | None = None) -> float:
+    """sum_j ||S_j - G(S_j)||^2.
+
+    A caller that already holds ``p_cons(sources, cfg)`` passes it as
+    ``cons`` and saves the consistency transforms.
+    """
     sources = np.asarray(sources, dtype=np.complex128)
     if sources.ndim != 3:
         raise ValueError("source set must be a J x F x T array")
-    return sum(_sq_norm(s - g_operator(s, cfg)) for s in sources)
+    if cons is None:
+        cons = (g_operator(s, cfg) for s in sources)
+    elif np.shape(cons) != sources.shape:
+        raise ValueError("shape mismatch between sources and their consistent images")
+    return sum(_sq_dist(s, z) for s, z in zip(sources, cons))
 
 
 def magnitude_mismatch(sources: np.ndarray, mags: np.ndarray) -> float:
@@ -39,4 +56,4 @@ def magnitude_mismatch(sources: np.ndarray, mags: np.ndarray) -> float:
     mags = np.asarray(mags, dtype=np.float64)
     if sources.shape != mags.shape:
         raise ValueError("shape mismatch between sources and magnitudes")
-    return _sq_norm(np.abs(sources) - mags)
+    return _sq_dist(np.abs(sources), mags)

@@ -12,9 +12,20 @@ from .spectral import StftConfig, g_operator
 
 
 def unit_phasor(s: np.ndarray) -> np.ndarray:
-    """s / |s| with the convention that zero entries map to 1."""
-    mag = np.abs(s)
-    return np.where(mag > 0, s / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
+    """s / |s| with the convention that zero entries map to 1.
+
+    One pass over |s|: ``s`` is scaled by 1/|s|, which rounds exactly as
+    numpy's complex-by-real division does, and only the zero bins are
+    patched afterwards.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    inv = np.abs(s, out=np.empty_like(s, dtype=np.float64))  # s's layout; an array even at 0-d
+    zero = ~(inv > 0)
+    inv[zero] = 1.0
+    np.reciprocal(inv, out=inv)
+    out = s * inv
+    out[zero] = 1.0
+    return out
 
 
 def _as_source_set(s) -> np.ndarray:
@@ -66,13 +77,18 @@ def p_mag(sources: np.ndarray, mags: np.ndarray) -> np.ndarray:
         raise ValueError("shape mismatch between sources and magnitudes")
     if np.any(mags < 0):
         raise ValueError("invalid magnitude")
-    return unit_phasor(sources) * mags
+    out = unit_phasor(sources)
+    out *= mags
+    return out
 
 
 def p_cons(sources: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Consistency projector: apply the G operator to each source."""
     sources = _as_source_set(sources)
-    return np.stack([g_operator(s, cfg) for s in sources])
+    out = np.empty_like(sources)  # the sources' memory layout, shared by later element-wise ops
+    for s, z in zip(sources, out):
+        z[...] = g_operator(s, cfg)
+    return out
 
 
 def p_mix(sources: np.ndarray, mixture: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -21,6 +21,15 @@ def hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
+def _window_sq_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
+    """Overlap-add of the squared window over ``n_frames`` frames ``hop`` apart."""
+    acc = np.zeros((n_frames - 1) * hop + window.size)
+    sq = window**2
+    for t in range(n_frames):
+        acc[t * hop : t * hop + window.size] += sq
+    return acc
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Parameters of the STFT pair.
@@ -54,13 +63,8 @@ class StftConfig:
     def _check_cola(self):
         # Overlap-add the squared window over a few periods and require a
         # constant sum on the interior span.
-        n_frames = 4 * (self.window_length // self.hop)
-        total = (n_frames - 1) * self.hop + self.window_length
-        acc = np.zeros(total)
-        sq = self._window**2
-        for t in range(n_frames):
-            acc[t * self.hop : t * self.hop + self.window_length] += sq
-        interior = acc[self.window_length - self.hop : total - self.window_length + self.hop]
+        acc = _window_sq_sum(self._window, self.hop, 4 * (self.window_length // self.hop))
+        interior = acc[self.pad : acc.size - self.pad]
         ref = interior[0]
         if ref <= 0 or np.max(np.abs(interior - ref)) > 1e-10 * ref:
             raise ValueError("window does not satisfy the COLA condition")
@@ -131,11 +135,7 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _ola_window_sq(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    total = (n_frames - 1) * cfg.hop + cfg.window_length
-    acc = np.zeros(total)
-    sq = cfg.window**2
-    for t in range(n_frames):
-        acc[t * cfg.hop : t * cfg.hop + cfg.window_length] += sq
+    acc = _window_sq_sum(cfg.window, cfg.hop, n_frames)
     acc[acc <= 1e-300] = 1.0
     acc.setflags(write=False)
     return acc

@@ -245,6 +245,7 @@ def _mean_sdr(rows, **match):
     return float(np.mean(values))
 
 
+@pytest.mark.slow
 def test_acceptance_07_misi_beats_amplitude_mask(full_benchmark, report):
     _, rows = full_benchmark
     am = _mean_sdr(rows, algorithm="am", degradation="0")
@@ -255,6 +256,7 @@ def test_acceptance_07_misi_beats_amplitude_mask(full_benchmark, report):
             f"MISI {misi:.2f} dB vs AM {am:.2f} dB, margin {margin:.2f} dB")
 
 
+@pytest.mark.slow
 def test_acceptance_08_soft_blend_peaks_at_interior_sigma(full_benchmark, report):
     _, rows = full_benchmark
     levels = sorted({r["degradation"] for r in rows})
@@ -299,6 +301,7 @@ def test_acceptance_09_benchmark_determinism_across_workers(tmp_path, report):
     report(9, ok, "identical CSV bytes with 1 and 2 worker processes")
 
 
+@pytest.mark.slow
 def test_acceptance_10_default_benchmark_under_five_minutes(full_benchmark, report):
     elapsed, rows = full_benchmark
     ok = elapsed < 300.0 and len(rows) > 0

@@ -5,7 +5,7 @@ import pytest
 
 from specinv import StftConfig, istft, stft
 from specinv.algorithms import AlgorithmSpec, Family, run
-from specinv.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from specinv.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from specinv.signal_io import (
     TimeSignal,
     oracle_magnitudes,
@@ -141,6 +141,23 @@ class TestSeparate:
         assert code == EXIT_USAGE
         assert "misi" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["mix_incons", "mag_incons_hardmix"])
+    def test_non_finite_estimate_exit_4(self, separation_setup, tmp_path, capsys, algo):
+        # Two in-phase 1e308 bins overflow the sigma=0 step's source sum.
+        _, mix_path, _, _, mags = separation_setup
+        huge_bin = np.zeros(mags.shape[1:])
+        huge_bin[0, 5] = 1e308
+        huge = []
+        for j in range(2):
+            p = tmp_path / f"huge{j}.spgm"
+            write_spectrogram(p, huge_bin)
+            huge.append(str(p))
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *huge,
+                     "--algo", algo, "--sigma", "0", "--iters", "2", "--out", str(tmp_path / "x")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+
     def test_shape_mismatch_exit_3(self, separation_setup, tmp_path):
         _, mix_path, _, _, _ = separation_setup
         bad = tmp_path / "bad.spgm"
@@ -203,6 +220,16 @@ class TestBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra, key", [({"bogus": 1}, "bogus"),
+                                            ({"max_iterations": "x"}, "max_iterations")])
+    def test_bad_config_key_exit_3(self, tmp_path, capsys, extra, key):
+        doc = {"manifest": "m.json", "output_dir": str(tmp_path / "out"), **extra}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == EXIT_IO

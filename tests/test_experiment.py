@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
+from specinv import algorithms, experiment
 from specinv.algorithms import SIGMA_INF
 from specinv.experiment import (
     CSV_HEADER,
@@ -189,3 +191,79 @@ class TestConfigFile:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(manifest="m", output_dir="o", sigma_grid=[])
+
+
+class TestConfigValidation:
+    def test_unknown_key_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"manifest": "m", "output_dir": "o", "bogus": 1}))
+        with pytest.raises(ValueError, match="bogus"):
+            load_sweep_config(path)
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"manifest": "m"}))
+        with pytest.raises(ValueError, match="output_dir"):
+            load_sweep_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iterations", "x"),
+        ("max_iterations", 2.5),
+        ("max_iterations", True),
+        ("degradation_levels", ["0.2"]),
+        ("degradation_levels", [float("inf")]),
+        ("sigma_grid", [-1.0]),
+        ("weight_scheme", "even"),
+        ("record_timing", "no"),
+        ("families", "misi"),
+    ])
+    def test_bad_value_named(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SweepConfig(manifest="m", output_dir="o", **{key: value})
+
+
+def _one_task(cfg, family, sigma, iterations):
+    cfg = dataclasses.replace(cfg, families=[family], sigma_grid=[sigma],
+                              max_iterations=iterations, degradation_levels=[0.2], jobs=1)
+    return cfg, experiment._build_tasks(cfg, "validation", experiment._sweep_jobs(cfg))[0]
+
+
+class TestItemFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_estimate_is_the_items_failure(self, tiny_config, monkeypatch):
+        def huge(mags, level, seed):
+            out = np.zeros_like(mags)
+            out[:, 0, 1] = 1e308  # in-phase bins: the sigma=0 source sum overflows
+            return out
+
+        monkeypatch.setattr(experiment, "degrade_magnitudes", huge)
+        cfg, task = _one_task(tiny_config, "mix_incons", 0.0, 2)
+        records, error = experiment._process_item_safe(task)
+        assert records == []
+        assert error == f"{task.item_id}: non-finite estimate produced"
+        with pytest.raises(RuntimeError, match="non-finite"):
+            run_sweep(cfg)
+
+
+class TestWallTime:
+    def test_probe_time_excluded(self, tiny_config, monkeypatch):
+        # A fake clock: each algorithm iterate takes 1 s, each SDR probe 1000 s.
+        clock = [0.0]
+        real_run, real_sdr = algorithms.run, experiment.sdr
+
+        def ticking_run(spec, mixture, mags, cfg, on_iterate, record_losses):
+            def tick(k, sources):
+                clock[0] += 1.0
+                on_iterate(k, sources)
+            return real_run(spec, mixture, mags, cfg, on_iterate=tick, record_losses=record_losses)
+
+        def slow_sdr(ref, est):
+            clock[0] += 1000.0
+            return real_sdr(ref, est)
+
+        monkeypatch.setattr(experiment, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(algorithms, "run", ticking_run)
+        monkeypatch.setattr(experiment, "sdr", slow_sdr)
+        cfg, task = _one_task(dataclasses.replace(tiny_config, record_timing=True), "misi", 0.0, 4)
+        records = experiment._process_item(task)
+        assert [(r.iterations, r.wall_ms) for r in records] == [(k, 1e3 * (k + 1)) for k in range(1, 5)]

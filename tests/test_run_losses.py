@@ -1,0 +1,110 @@
+"""``run``'s loss record against a naive reference, and its count of G calls.
+
+``run`` takes iterate k's losses from the consistency projection that step
+k+1 computes anyway.  The reference records the three public loss functions
+from ``on_iterate`` instead, paying a fresh G at every iterate.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from specinv import losses, projectors
+from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
+from specinv.losses import inconsistency, magnitude_mismatch, mixing_error
+from specinv.spectral import StftConfig, stft
+
+CONFIGS = {
+    "64/16": StftConfig(window_length=64, hop=16, sample_rate=8000),
+    "32/8/fft48": StftConfig(window_length=32, hop=8, fft_size=48, sample_rate=8000),
+}
+GRID = list(itertools.product(
+    (0.0, 0.1, 1.0, 10.0, SIGMA_INF),  # sigma
+    ("uniform", "magratio"),  # weight scheme
+    (None, 1e-3),  # stop_tol
+    (0, 8),  # iterations
+))
+
+
+def _problem(cfg, n_sources):
+    rng = np.random.default_rng(n_sources)
+    signals = [rng.standard_normal(600) for _ in range(n_sources)]
+    mixture = stft(sum(signals), cfg)
+    mags = np.stack([np.abs(stft(s, cfg)) for s in signals])
+    mags *= np.exp(0.3 * rng.standard_normal(mags.shape))  # degraded, as in the benchmark
+    return mixture, mags
+
+
+def _step_applies_g(family, sigma):
+    if family is Family.AM:
+        return False
+    if family in (Family.MISI, Family.INCONS_HARDMIX):
+        return True
+    return sigma != 0.0  # at sigma=0 the soft families never touch P_cons
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    """Counter of ``g_operator`` calls made by the projectors and the losses."""
+    count = [0]
+    real = projectors.g_operator
+
+    def counting(spec, cfg):
+        count[0] += 1
+        return real(spec, cfg)
+
+    monkeypatch.setattr(projectors, "g_operator", counting)
+    monkeypatch.setattr(losses, "g_operator", counting)
+    return count
+
+
+@pytest.mark.parametrize("cfg_name", list(CONFIGS))
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+@pytest.mark.parametrize("family", list(Family))
+def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_calls):
+    cfg = CONFIGS[cfg_name]
+    mixture, mags = _problem(cfg, n_sources)
+    for sigma, scheme, stop_tol, iterations in GRID:
+        spec = AlgorithmSpec(family=family, sigma=sigma, weight_scheme=scheme,
+                             iterations=iterations, stop_tol=stop_tol)
+        ref = []
+
+        def naive(k, sources):
+            ref.append((mixing_error(sources, mixture), inconsistency(sources, cfg),
+                        magnitude_mismatch(sources, mags)))
+
+        g_calls[0] = 0
+        trace = run(spec, mixture, mags, cfg, on_iterate=naive)
+        n_iterates = trace.iterations + 1
+        assert len(ref) == n_iterates
+        # The reference pays one G (J calls) per iterate.  So does run: a
+        # step that applies G shares it with the loss record, and only the
+        # last iterate, or a row whose step never applies G, pays its own.
+        assert g_calls[0] - n_sources * n_iterates == n_sources * n_iterates
+
+        h, i, m = (np.array(col) for col in zip(*ref))
+        for got, want in ((trace.mixing, h), (trace.inconsistency, i), (trace.magnitude, m)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        if family is Family.MIX_INCONS and sigma != SIGMA_INF:
+            np.testing.assert_allclose(trace.combined, h + sigma * i, rtol=1e-12, atol=0)
+        elif family is Family.MAG_INCONS_HARDMIX and sigma != SIGMA_INF:
+            np.testing.assert_allclose(trace.combined, m + sigma * i, rtol=1e-12, atol=0)
+        else:
+            assert trace.combined is None
+
+        # Without losses, run does the steps' own work only.
+        g_calls[0] = 0
+        bare = run(spec, mixture, mags, cfg, record_losses=False)
+        assert g_calls[0] == (n_sources * bare.iterations if _step_applies_g(family, sigma) else 0)
+        assert bare.iterations == trace.iterations
+        assert np.array_equal(bare.estimates, trace.estimates)
+        assert bare.mixing.size == bare.inconsistency.size == bare.magnitude.size == 0
+
+
+def test_stop_tol_breaks_early():
+    # incons_hardmix is non-iterative, so its second step changes nothing.
+    cfg = CONFIGS["64/16"]
+    mixture, mags = _problem(cfg, 2)
+    spec = AlgorithmSpec(family=Family.INCONS_HARDMIX, iterations=8, stop_tol=1e-3)
+    assert run(spec, mixture, mags, cfg).iterations == 2
