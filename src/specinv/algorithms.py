@@ -15,15 +15,22 @@ from enum import Enum
 import numpy as np
 
 from .losses import _sq_dist, inconsistency, magnitude_mismatch, mixing_error
-from .projectors import (
-    p_cons,
-    p_mag,
-    p_mix,
-    unit_phasor,
-    weights_magnitude_ratio,
-    weights_uniform,
-)
-from .spectral import StftConfig
+from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
+from .spectral import StftConfig, g_operator, tf_layout
+
+# The step_* functions are internal: they skip the checks that run makes once.
+__all__ = [
+    "DEFAULT_MAX_ITERATIONS",
+    "SIGMA_FREE",
+    "SIGMA_INF",
+    "UNIFORM_ONLY",
+    "AlgorithmSpec",
+    "Family",
+    "RunTrace",
+    "blend_mix_cons",
+    "init_amplitude_mask",
+    "run",
+]
 
 SIGMA_INF = float("inf")
 
@@ -107,47 +114,57 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return unit_phasor(mixture)[None] * mags
 
 
+# The steps compose the projectors' unchecked kernels: ``run`` validates its
+# inputs once and checks every iterate for non-finite values, so nothing
+# inside its loop scans the source set again.  ``weights`` is a J x F x T
+# array or the scalar 1/J.  ``cons`` is ``p_cons(sources, cfg)`` when the
+# caller already has it; by default the step computes it.
+
+
+def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
+    """(Y + sigma*Lambda*Z) / (1 + sigma*Lambda) for finite sigma, written into ``y``."""
+    scaled = sigma * weights
+    y += scaled * z
+    y /= 1.0 + scaled
+    return y
+
+
 def blend_mix_cons(y: np.ndarray, z: np.ndarray, weights: np.ndarray, sigma: float) -> np.ndarray:
     """(Y + sigma*Lambda*Z) / (1 + sigma*Lambda), with exact limits at 0 and inf."""
     if sigma == 0.0:
         return y
     if sigma == SIGMA_INF:
         return z
-    return (y + sigma * weights * z) / (1.0 + sigma * weights)
+    return _blend_in_place(np.array(y, dtype=np.complex128), z, weights, sigma)
 
 
 def step_misi(sources, mixture, mags, cfg: StftConfig, *, cons=None) -> np.ndarray:
-    """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights.
-
-    In every step, ``cons`` is ``p_cons(sources, cfg)`` when the caller
-    already has it; by default the step computes it.
-    """
+    """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
     z = p_cons(sources, cfg) if cons is None else cons
-    w = weights_uniform(sources.shape[0], sources.shape[1:])
-    return p_mix(p_mag(z, mags), mixture, w)
+    return _p_mix(_p_mag(z, mags), mixture, 1.0 / sources.shape[0])
 
 
 def step_mix_incons(sources, mixture, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
-        return p_mix(sources, mixture, weights)
+        return _p_mix(sources, mixture, weights)
     z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
         return z
-    y = p_mix(sources, mixture, weights)
-    return blend_mix_cons(y, z, weights, sigma)
+    return _blend_in_place(_p_mix(sources, mixture, weights), z, weights, sigma)
 
 
 def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """As step_mix_incons but with the target magnitudes imposed exactly."""
     if sigma == 0.0:
-        return p_mag(p_mix(sources, mixture, weights), mags)
+        return _p_mag(_p_mix(sources, mixture, weights), mags)
     z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
         # Per-source Griffin-Lim update, no mixing constraint.
-        return p_mag(z, mags)
-    y = p_mix(sources, mixture, weights)
-    return p_mag(y + sigma * weights * z, mags)
+        return _p_mag(z, mags)
+    y = _p_mix(sources, mixture, weights)
+    y += sigma * weights * z
+    return _p_mag(y, mags)
 
 
 def step_incons_hardmix(sources, mixture, cfg: StftConfig, *, cons=None) -> np.ndarray:
@@ -157,23 +174,20 @@ def step_incons_hardmix(sources, mixture, cfg: StftConfig, *, cons=None) -> np.n
     application leaves the estimate unchanged.
     """
     z = p_cons(sources, cfg) if cons is None else cons
-    w = weights_uniform(sources.shape[0], sources.shape[1:])
-    return p_mix(z, mixture, w)
+    return _p_mix(z, mixture, 1.0 / sources.shape[0])
 
 
 def step_mag_incons_hardmix(sources, mixture, mags, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
-    n_sources = sources.shape[0]
     if sigma == 0.0:
-        w = p_mag(sources, mags)
+        w = _p_mag(sources, mags)
     else:
         z = p_cons(sources, cfg) if cons is None else cons
         if sigma == SIGMA_INF:
             w = z
         else:
-            w = (p_mag(sources, mags) + sigma * z) / (1.0 + sigma)
-    uni = weights_uniform(n_sources, sources.shape[1:])
-    return p_mix(w, mixture, uni)
+            w = _blend_in_place(_p_mag(sources, mags), z, 1.0, sigma)
+    return _p_mix(w, mixture, 1.0 / sources.shape[0])
 
 
 def _step_applies_g(family: Family, sigma: float) -> bool:
@@ -183,10 +197,29 @@ def _step_applies_g(family: Family, sigma: float) -> bool:
     return family is not Family.AM and sigma != 0.0
 
 
-def _make_weights(spec: AlgorithmSpec, mags: np.ndarray) -> np.ndarray:
+def _make_weights(spec: AlgorithmSpec, mags: np.ndarray):
+    """Magnitude-ratio weights, or the uniform weights as the scalar 1/J."""
     if spec.family in UNIFORM_ONLY or spec.weight_scheme == "uniform":
-        return weights_uniform(mags.shape[0], mags.shape[1:])
+        return 1.0 / mags.shape[0]
     return weights_magnitude_ratio(mags)
+
+
+def _checked_inputs(mixture, mags) -> tuple[np.ndarray, np.ndarray]:
+    """``run``'s one input check, and the (J, T, F) memory layout.
+
+    An input already in that layout is not copied.
+    """
+    mixture = np.asarray(mixture, dtype=np.complex128)
+    mags = np.asarray(mags, dtype=np.float64)
+    if mixture.ndim != 2 or mags.ndim != 3 or mags.shape[1:] != mixture.shape:
+        raise ValueError("shape mismatch between mixture and magnitudes")
+    if not np.all(np.isfinite(mixture)):
+        raise ValueError("mixture contains non-finite entries")
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("magnitudes contain non-finite entries")
+    if np.any(mags < 0):
+        raise ValueError("invalid magnitude")
+    return tf_layout(mixture), tf_layout(mags)
 
 
 def run(
@@ -207,9 +240,12 @@ def run(
     the estimates pass ``record_losses=False``.  ``on_iterate(k, sources)``
     is called at the initialization and after every step; it must not
     mutate its argument.  Deterministic for fixed inputs.
+
+    The inputs are checked once, here (``ValueError``), and converted to the
+    (J, T, F) memory layout.  An iterate or a recorded loss that is not
+    finite raises ``FloatingPointError``.
     """
-    mixture = np.asarray(mixture, dtype=np.complex128)
-    mags = np.asarray(mags, dtype=np.float64)
+    mixture, mags = _checked_inputs(mixture, mags)
     warnings = spec.validation_warnings()
     weights = _make_weights(spec, mags)
     sigma = spec.sigma
@@ -223,8 +259,9 @@ def run(
         Family.INCONS_HARDMIX: lambda s, cons: step_incons_hardmix(s, mixture, cfg, cons=cons),
         Family.MAG_INCONS_HARDMIX: lambda s, cons: step_mag_incons_hardmix(s, mixture, mags, sigma, cfg, cons=cons),
     }[spec.family]
-    # Only a recorded run computes G(S_k) ahead of the step, to share it.
-    share_cons = record_losses and _step_applies_g(spec.family, sigma)
+    # run computes G(S_k) for the step, unchecked: every iterate is checked
+    # below, so the step and the loss record can share it.
+    applies_g = _step_applies_g(spec.family, sigma)
 
     sources = init_amplitude_mask(mixture, mags)
     n_steps = 0 if spec.family is Family.AM else spec.iterations
@@ -232,9 +269,15 @@ def run(
     h, i, m = [], [], []
 
     def record(current, cons=None):
-        h.append(mixing_error(current, mixture))
-        i.append(inconsistency(current, cfg, cons=cons))
-        m.append(magnitude_mismatch(current, mags))
+        losses = (
+            mixing_error(current, mixture),
+            inconsistency(current, cfg, cons=cons),
+            magnitude_mismatch(current, mags),
+        )
+        if not np.all(np.isfinite(losses)):
+            raise FloatingPointError(f"non-finite loss at iterate {len(h)}")
+        for column, value in zip((h, i, m), losses):
+            column.append(value)
 
     if on_iterate is not None:
         on_iterate(0, sources)
@@ -242,7 +285,7 @@ def run(
     executed = 0
     for k in range(1, n_steps + 1):
         prev = sources
-        cons = p_cons(prev, cfg) if share_cons else None
+        cons = g_operator(prev, cfg, check_finite=False) if applies_g else None
         if record_losses:
             record(prev, cons)
         sources = step(prev, cons)

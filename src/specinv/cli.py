@@ -2,7 +2,7 @@
 
 Thin adapters only: every numerical result comes from the library modules.
 Exit codes: 0 success, 2 I/O error, 3 usage/validation error, 4 numerical
-failure (an algorithm produced a non-finite estimate).
+failure (an algorithm produced a non-finite estimate or loss).
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def _resolve_algo(name: str, sigma_arg: str, iters: int):
 def cmd_separate(args) -> int:
     mixture = read_wav(args.mixture)
     cfg = StftConfig(window_length=args.window, hop=args.hop, sample_rate=mixture.sample_rate)
-    mags = np.stack([np.asarray(read_spectrogram(p), dtype=np.float64) for p in args.mags])
+    # Built in (J, T, F) memory, the layout of the mixture's STFT.
+    mags = np.array([read_spectrogram(p).T for p in args.mags], dtype=np.float64).transpose(0, 2, 1)
     mixture_spec = stft(mixture.samples, cfg)
     if mags.shape[1:] != mixture_spec.shape:
         raise ValueError(

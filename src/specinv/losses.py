@@ -44,7 +44,7 @@ def inconsistency(sources: np.ndarray, cfg: StftConfig, cons: np.ndarray | None 
     if sources.ndim != 3:
         raise ValueError("source set must be a J x F x T array")
     if cons is None:
-        cons = (g_operator(s, cfg) for s in sources)
+        cons = g_operator(sources, cfg)
     elif np.shape(cons) != sources.shape:
         raise ValueError("shape mismatch between sources and their consistent images")
     return sum(_sq_dist(s, z) for s, z in zip(sources, cons))

@@ -1,7 +1,15 @@
 """The three projectors (magnitude, consistency, mixing) and weight schemes.
 
 A source set is represented as a J x F x T complex array; magnitude targets
-and mixing weights as J x F x T real arrays.
+and mixing weights as J x F x T real arrays.  In memory a source set is
+(J, T, F), the layout of ``stft`` and ``g_operator``; the projectors accept
+any layout and their results keep their input's.
+
+The public projectors check their inputs (shapes, finite entries, magnitudes
+>= 0) and then call the private kernels ``_p_mag`` and ``_p_mix``, which do
+the arithmetic only.  ``algorithms.run`` checks its inputs once and steps
+through the kernels, so no check scans the source set inside its loop.
+``p_cons`` makes one ``g_operator`` call per source set.
 """
 
 from __future__ import annotations
@@ -66,6 +74,12 @@ def weights_magnitude_ratio(mags: np.ndarray, floor: float | None = None) -> np.
     return w
 
 
+def _p_mag(sources: np.ndarray, mags) -> np.ndarray:
+    out = unit_phasor(sources)
+    out *= mags
+    return out
+
+
 def p_mag(sources: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Magnitude projector: keep each bin's phase, impose target magnitude.
 
@@ -77,17 +91,22 @@ def p_mag(sources: np.ndarray, mags: np.ndarray) -> np.ndarray:
         raise ValueError("shape mismatch between sources and magnitudes")
     if np.any(mags < 0):
         raise ValueError("invalid magnitude")
-    out = unit_phasor(sources)
-    out *= mags
-    return out
+    return _p_mag(sources, mags)
 
 
 def p_cons(sources: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Consistency projector: apply the G operator to each source."""
-    sources = _as_source_set(sources)
-    out = np.empty_like(sources)  # the sources' memory layout, shared by later element-wise ops
-    for s, z in zip(sources, out):
-        z[...] = g_operator(s, cfg)
+    """Consistency projector: the G operator on each source, in one call."""
+    return g_operator(_as_source_set(sources), cfg, check_finite=False)
+
+
+def _p_mix(sources: np.ndarray, mixture: np.ndarray, weights) -> np.ndarray:
+    """``weights`` is a J x F x T array or the scalar 1/J."""
+    residual = mixture - sources.sum(axis=0)
+    if np.ndim(weights) == 0:
+        residual *= weights
+        return sources + residual
+    out = np.multiply(weights, residual, out=np.empty_like(sources))
+    out += sources
     return out
 
 
@@ -104,5 +123,4 @@ def p_mix(sources: np.ndarray, mixture: np.ndarray, weights: np.ndarray) -> np.n
         raise ValueError("shape mismatch between sources and mixture")
     if weights.shape != sources.shape:
         raise ValueError("shape mismatch between sources and weights")
-    residual = mixture - sources.sum(axis=0)
-    return sources + weights * residual[None]
+    return _p_mix(sources, mixture, weights)

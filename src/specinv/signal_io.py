@@ -150,26 +150,35 @@ def make_mixture(clean: TimeSignal, noise: TimeSignal, isnr_db: float, seed: int
 
 
 def oracle_magnitudes(sources: list[TimeSignal], cfg: StftConfig) -> np.ndarray:
-    """Ground-truth magnitude spectrograms |STFT(s_j)| as a J x F x T array."""
+    """Ground-truth magnitude spectrograms |STFT(s_j)| as a J x F x T array.
+
+    In (J, T, F) memory, the layout of ``stft``.
+    """
     lengths = {len(s) for s in sources}
     if len(lengths) != 1:
         raise ValueError("sources must have equal lengths")
-    return np.stack([np.abs(stft(s.samples, cfg)) for s in sources])
+    return np.stack([np.abs(stft(s.samples, cfg)).T for s in sources]).transpose(0, 2, 1)
 
 
 def degrade_magnitudes(mags: np.ndarray, level: float, seed: int) -> np.ndarray:
     """Multiplicative log-Gaussian degradation, a stand-in for DNN estimation error.
 
     Each bin is multiplied by exp(e) with e ~ N(0, level^2).  Level 0 returns
-    the input unchanged; the output is nonnegative by construction.
+    the input unchanged; the output is nonnegative by construction and keeps
+    the input's memory layout.
     """
     if level < 0:
         raise ValueError("degradation level must be nonnegative")
     mags = np.asarray(mags, dtype=np.float64)
     if level == 0:
-        return mags.copy()
+        return mags.copy(order="K")
     rng = np.random.default_rng(seed)
-    return mags * np.exp(rng.normal(0.0, level, size=mags.shape))
+    noise = rng.normal(0.0, level, size=mags.shape)  # C order, whatever the layout of mags
+    np.exp(noise, out=noise)
+    out = np.empty_like(mags)
+    np.copyto(out, noise)  # one reordering copy; the product then runs in one layout
+    out *= mags
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,12 @@ and the inverse is the weighted overlap-add least-squares synthesis (dual
 window = analysis window divided by the squared-window overlap sum).  With
 this pairing, ``g_operator`` (STFT followed by iSTFT) is a projection onto
 the set of consistent spectrograms.
+
+Memory layout: a spectrogram is logically F x T, and in memory it is
+(T, F), contiguous along the FFT axis.  ``stft`` returns the transposed view
+of its frame-by-frame ``rfft``, and ``g_operator`` keeps that layout for an
+F x T spectrogram and, per source, for a J x F x T source set (memory
+(J, T, F)).  Other layouts are accepted everywhere; they are only slower.
 """
 
 from __future__ import annotations
@@ -113,13 +119,35 @@ class TimeSignal:
         return self.samples.size
 
 
-def _frame_indices(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    starts = cfg.hop * np.arange(n_frames)[:, None]
-    return starts + np.arange(cfg.window_length)[None, :]
+def tf_layout(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes (F, T) in (T, F) memory; no copy if already so."""
+    return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _analyze(buf: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Window the frames of a padded signal buffer and ``rfft`` them: T x F."""
+    frames = sliding_window_view(buf, cfg.window_length)[:: cfg.hop] * cfg.window
+    return np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=out)
+
+
+def _synthesize(frames_spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Least-squares overlap-add of a T x F spectrogram over the whole padded buffer."""
+    n_frames = frames_spec.shape[0]
+    frames = np.fft.irfft(frames_spec, n=cfg.fft_size, axis=1)[:, : cfg.window_length]
+    frames *= cfg.window
+    # Overlap-add via hop-sized chunks: chunk c of frame t lands at (t+c)*hop.
+    ratio = cfg.window_length // cfg.hop
+    chunks = frames.reshape(n_frames, ratio, cfg.hop)
+    acc = np.zeros((n_frames + ratio - 1, cfg.hop))
+    for c in range(ratio):
+        acc[c : c + n_frames] += chunks[:, c, :]
+    out = acc.ravel()
+    out /= _ola_window_sq(cfg, n_frames)
+    return out
 
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """One-sided STFT, returned as an F x T complex matrix."""
+    """One-sided STFT, returned as an F x T complex matrix in (T, F) memory."""
     x = np.asarray(getattr(x, "samples", x), dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("empty input")
@@ -129,8 +157,7 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     total = (n_frames - 1) * cfg.hop + cfg.window_length
     buf = np.zeros(total)
     buf[cfg.pad : cfg.pad + x.size] = x
-    frames = sliding_window_view(buf, cfg.window_length)[:: cfg.hop] * cfg.window
-    return np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
+    return _analyze(buf, cfg).T
 
 
 @lru_cache(maxsize=64)
@@ -148,28 +175,37 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
         raise ValueError(f"expected {cfg.n_bins} frequency bins, got shape {spec.shape}")
     if not np.all(np.isfinite(spec)):
         raise ValueError("spectrogram contains non-finite entries")
-    n_frames = spec.shape[1]
-    if cfg.num_frames(out_len) != n_frames:
+    if cfg.num_frames(out_len) != spec.shape[1]:
         raise ValueError("length mismatch")
-    frames = np.fft.irfft(spec.T, n=cfg.fft_size, axis=1)[:, : cfg.window_length]
-    frames *= cfg.window
-    # Overlap-add via hop-sized chunks: chunk c of frame t lands at (t+c)*hop.
-    ratio = cfg.window_length // cfg.hop
-    chunks = frames.reshape(n_frames, ratio, cfg.hop)
-    acc = np.zeros((n_frames + ratio - 1, cfg.hop))
-    for c in range(ratio):
-        acc[c : c + n_frames] += chunks[:, c, :]
-    out = acc.ravel()
-    out /= _ola_window_sq(cfg, n_frames)
-    return out[cfg.pad : cfg.pad + out_len]
+    return _synthesize(spec.T, cfg)[cfg.pad : cfg.pad + out_len]
 
 
-def g_operator(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Consistency operator: STFT of the iSTFT of ``spec``.
+def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True) -> np.ndarray:
+    """Consistency operator: STFT of the iSTFT of each spectrogram.
 
-    The result is the STFT of some time signal by construction; applying
-    the operator twice gives the same result as applying it once.
+    ``spec`` is one F x T spectrogram or a J x F x T source set; each source
+    is transformed on its own, into one preallocated result of ``spec``'s
+    shape in (T, F) (per source) memory.  The result is the STFT of some
+    time signal by construction; applying the operator twice gives the same
+    result as applying it once.  ``check_finite=False`` skips the one scan
+    for non-finite entries, for callers that have checked the input
+    already; a non-finite input then gives a non-finite result.
     """
     spec = np.asarray(spec, dtype=np.complex128)
-    out_len = cfg.max_samples(spec.shape[1])
-    return stft(istft(spec, cfg, out_len), cfg)
+    if spec.ndim not in (2, 3) or spec.shape[-2] != cfg.n_bins:
+        raise ValueError(f"expected {cfg.n_bins} frequency bins, got shape {spec.shape}")
+    n_frames = spec.shape[-1]
+    if cfg.max_samples(n_frames) < 1:
+        raise ValueError(f"{n_frames} frames span no signal sample")
+    if check_finite and not np.all(np.isfinite(spec)):
+        raise ValueError("spectrogram contains non-finite entries")
+    sources = spec.reshape((-1,) + spec.shape[-2:])
+    out = np.empty((sources.shape[0], n_frames, cfg.n_bins), dtype=np.complex128)
+    for s, z in zip(sources, out):
+        # The overlap-added signal spans the buffer that stft frames, so
+        # zeroing its padding is the iSTFT's crop and the STFT's re-pad.
+        signal = _synthesize(s.T, cfg)
+        signal[: cfg.pad] = 0.0
+        signal[n_frames * cfg.hop :] = 0.0
+        _analyze(signal, cfg, out=z)
+    return out.transpose(0, 2, 1).reshape(spec.shape)

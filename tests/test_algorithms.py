@@ -284,3 +284,32 @@ class TestRun:
         trace = run(spec, mixture, mags, small_cfg)
         assert trace.iterations < 20
         assert len(trace.mixing) == trace.iterations + 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family", [Family.AM, Family.MIX_INCONS])
+    def test_overflowing_loss_is_a_floating_point_error(self, small_cfg, rng, family):
+        # The initialization is finite, but its losses overflow float64.
+        mixture, mags = synthetic_problem(rng, small_cfg)
+        huge = np.full(mags.shape, 1e308)
+        with pytest.raises(FloatingPointError, match="non-finite loss at iterate 0"):
+            run(AlgorithmSpec(family=family, sigma=0.0, iterations=2), mixture, huge, small_cfg)
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [("nan_mixture", "mixture contains non-finite"), ("inf_mags", "magnitudes contain non-finite"),
+         ("negative_mags", "invalid magnitude"), ("shape", "shape mismatch")],
+    )
+    def test_inputs_checked_once_at_entry(self, small_cfg, rng, bad, message):
+        mixture, mags = synthetic_problem(rng, small_cfg)
+        if bad == "nan_mixture":
+            mixture[2, 3] = np.nan
+        elif bad == "inf_mags":
+            mags[1, 2, 3] = np.inf
+        elif bad == "negative_mags":
+            mags[0, 2, 3] = -1.0
+        else:
+            mags = mags[:, :-1]
+        for record in (True, False):
+            with pytest.raises(ValueError, match=message):
+                run(AlgorithmSpec(family=Family.MISI, iterations=2), mixture, mags, small_cfg,
+                    record_losses=record)

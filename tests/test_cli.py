@@ -158,6 +158,28 @@ class TestSeparate:
         assert code == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["every bin", "one bin"])
+    def test_overflowing_loss_exit_4(self, separation_setup, tmp_path, capsys, where):
+        # The initialization is finite; its losses (and its G) overflow.
+        _, mix_path, _, _, mags = separation_setup
+        if where == "every bin":
+            huge_mag = np.full(mags.shape[1:], 1e308)
+        else:
+            huge_mag = np.zeros(mags.shape[1:])
+            huge_mag[7, 5] = 1e308
+        huge = []
+        for j in range(2):
+            p = tmp_path / f"huge{j}.spgm"
+            write_spectrogram(p, huge_mag)
+            huge.append(str(p))
+        out = tmp_path / "x"
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *huge,
+                     "--algo", "mix_incons", "--sigma", "0", "--iters", "2", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_shape_mismatch_exit_3(self, separation_setup, tmp_path):
         _, mix_path, _, _, _ = separation_setup
         bad = tmp_path / "bad.spgm"

@@ -1,0 +1,147 @@
+"""Dense reference oracle for the STFT pair and the consistency operator G.
+
+On tiny configs (window 16, hop 4) the STFT is built as an explicit matrix
+from a loop-and-sum DFT, the iSTFT is the weighted least-squares inverse of
+that matrix (bin weight 1 at DC and Nyquist, 2 elsewhere: the two-sided
+norm seen from the one-sided spectrum), and G is their product.  The fast
+``stft``, ``istft``, ``g_operator`` and ``p_cons`` must agree with these to
+1e-12 relative, and G over a source set must equal G per source bit for bit.
+"""
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from specinv.projectors import p_cons
+from specinv.spectral import StftConfig, g_operator, istft, stft
+
+FFT_SIZES = (16, 24, 25)
+LENGTHS = (37, 40, 41)  # 40 lies on the hop grid, 37 and 41 do not
+RTOL = 1e-12
+
+
+def _cfg(fft_size):
+    return StftConfig(window_length=16, hop=4, fft_size=fft_size, sample_rate=8000)
+
+
+def _loop_stft(x, cfg):
+    """The STFT by its definition: pad, window each frame, sum the DFT."""
+    w, hop, n_fft = cfg.window_length, cfg.hop, cfg.fft_size
+    pad = w - hop
+    n_frames = -(-(x.size + 2 * pad - w) // hop) + 1
+    buf = np.concatenate([np.zeros(pad), x, np.zeros((n_frames - 1) * hop + w - pad - x.size)])
+    window = [0.5 - 0.5 * np.cos(2 * np.pi * n / w) for n in range(w)]
+    out = np.zeros((n_fft // 2 + 1, n_frames), complex)
+    for t in range(n_frames):
+        for k in range(n_fft // 2 + 1):
+            out[k, t] = sum(
+                buf[t * hop + n] * window[n] * np.exp(-2j * np.pi * k * n / n_fft) for n in range(w)
+            )
+    return out
+
+
+@lru_cache(maxsize=None)
+def _stft_matrix(cfg, n_samples):
+    """(F*T) x N complex matrix of the STFT, one column per unit impulse."""
+    cols = [_loop_stft(e, cfg).ravel() for e in np.eye(n_samples)]
+    return np.stack(cols, axis=1)
+
+
+def _bin_weights(cfg, n_frames):
+    c = np.full(cfg.n_bins, 2.0)
+    c[0] = 1.0
+    if cfg.fft_size % 2 == 0:
+        c[-1] = 1.0
+    return np.repeat(c, n_frames)
+
+
+@lru_cache(maxsize=None)
+def _lsq_inverse(cfg, n_samples):
+    """N x (F*T) complex-to-real map: the weighted least-squares signal."""
+    a = _stft_matrix(cfg, n_samples)
+    sw = np.sqrt(_bin_weights(cfg, a.shape[0] // cfg.n_bins))[:, None]
+    real = np.vstack([sw * a.real, sw * a.imag])  # real (2FT) x N system
+    pinv = np.linalg.pinv(real)
+    # x = pinv @ [sw*Re S; sw*Im S]  ==  Re(L @ S) with L below.
+    return pinv[:, : a.shape[0]] * sw.T - 1j * pinv[:, a.shape[0] :] * sw.T
+
+
+def _dense_g(cfg, n_frames):
+    n_samples = cfg.max_samples(n_frames)
+    return _stft_matrix(cfg, n_samples), _lsq_inverse(cfg, n_samples)
+
+
+def _apply_g(dense, spec):
+    a, inv = dense
+    return (a @ (inv @ spec.ravel()).real).reshape(spec.shape)
+
+
+def _assert_close(got, want):
+    assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _spectra(cfg, n_frames, n_sources, seed):
+    """Random, generically inconsistent spectra with whole frames and bins zeroed."""
+    rng = np.random.default_rng(seed)
+    shape = (n_sources, cfg.n_bins, n_frames)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s[:, :, 1] = 0.0  # a zero frame
+    s[:, 0, :] = 0.0  # a zero DC row
+    s[0, 3, 2] = 0.0
+    return s
+
+
+@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("n_samples", LENGTHS)
+def test_stft_matches_dense_matrix(fft_size, n_samples):
+    cfg = _cfg(fft_size)
+    rng = np.random.default_rng(n_samples)
+    x = rng.standard_normal(n_samples)
+    x[5:9] = 0.0
+    want = (_stft_matrix(cfg, n_samples) @ x).reshape(cfg.n_bins, -1)
+    _assert_close(stft(x, cfg), want)
+    _assert_close(stft(x, cfg), _loop_stft(x, cfg))
+
+
+@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("n_samples", LENGTHS)
+def test_istft_is_weighted_least_squares(fft_size, n_samples):
+    cfg = _cfg(fft_size)
+    n_frames = cfg.num_frames(n_samples)
+    spec = _spectra(cfg, n_frames, 1, n_samples)[0]
+    want = (_lsq_inverse(cfg, n_samples) @ spec.ravel()).real
+    _assert_close(istft(spec, cfg, n_samples), want)
+    # On a consistent spectrogram the least-squares inverse is exact.
+    x = np.random.default_rng(0).standard_normal(n_samples)
+    _assert_close(istft(stft(x, cfg), cfg, n_samples), x)
+
+
+@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("n_frames", (6, 9))
+def test_g_matches_dense_operator(fft_size, n_frames):
+    cfg = _cfg(fft_size)
+    dense = _dense_g(cfg, n_frames)
+    for s in _spectra(cfg, n_frames, 3, n_frames + fft_size):
+        _assert_close(g_operator(s, cfg), _apply_g(dense, s))
+    # The dense G is a projection: G(G(S)) = G(S).
+    s = _spectra(cfg, n_frames, 1, 1)[0]
+    _assert_close(_apply_g(dense, _apply_g(dense, s)), _apply_g(dense, s))
+
+
+@pytest.mark.parametrize(("fft_size", "n_sources"), list(itertools.product(FFT_SIZES, (1, 2, 3))))
+def test_p_cons_over_source_set_matches_dense_and_per_source(fft_size, n_sources):
+    cfg = _cfg(fft_size)
+    n_frames = 7
+    dense = _dense_g(cfg, n_frames)
+    sources = _spectra(cfg, n_frames, n_sources, fft_size * n_sources)
+    joint = p_cons(sources, cfg)
+    assert joint.shape == sources.shape
+    for j, s in enumerate(sources):
+        _assert_close(joint[j], _apply_g(dense, s))
+        assert np.array_equal(_bits(joint[j]), _bits(g_operator(s, cfg)))

@@ -6,13 +6,15 @@ from ``on_iterate`` instead, paying a fresh G at every iterate.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from specinv import losses, projectors
+from specinv import algorithms, losses, projectors, spectral
 from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
 from specinv.losses import inconsistency, magnitude_mismatch, mixing_error
+from specinv.projectors import p_cons
 from specinv.spectral import StftConfig, stft
 
 CONFIGS = {
@@ -46,16 +48,21 @@ def _step_applies_g(family, sigma):
 
 @pytest.fixture
 def g_calls(monkeypatch):
-    """Counter of ``g_operator`` calls made by the projectors and the losses."""
-    count = [0]
-    real = projectors.g_operator
+    """Counter of the sources that ``g_operator`` transforms, at every binding.
 
-    def counting(spec, cfg):
-        count[0] += 1
-        return real(spec, cfg)
+    One call on a J x F x T source set counts J; one on an F x T
+    spectrogram counts 1.  ``g_calls.calls`` counts the calls themselves.
+    """
+    count = SimpleNamespace(sources=0, calls=0)
+    real = spectral.g_operator
 
-    monkeypatch.setattr(projectors, "g_operator", counting)
-    monkeypatch.setattr(losses, "g_operator", counting)
+    def counting(spec, cfg, **kwargs):
+        count.calls += 1
+        count.sources += np.shape(spec)[0] if np.ndim(spec) == 3 else 1
+        return real(spec, cfg, **kwargs)
+
+    for module in (algorithms, projectors, losses):
+        monkeypatch.setattr(module, "g_operator", counting)
     return count
 
 
@@ -74,14 +81,14 @@ def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_ca
             ref.append((mixing_error(sources, mixture), inconsistency(sources, cfg),
                         magnitude_mismatch(sources, mags)))
 
-        g_calls[0] = 0
+        g_calls.sources = 0
         trace = run(spec, mixture, mags, cfg, on_iterate=naive)
         n_iterates = trace.iterations + 1
         assert len(ref) == n_iterates
-        # The reference pays one G (J calls) per iterate.  So does run: a
+        # The reference pays one G (J transforms) per iterate.  So does run: a
         # step that applies G shares it with the loss record, and only the
         # last iterate, or a row whose step never applies G, pays its own.
-        assert g_calls[0] - n_sources * n_iterates == n_sources * n_iterates
+        assert g_calls.sources - n_sources * n_iterates == n_sources * n_iterates
 
         h, i, m = (np.array(col) for col in zip(*ref))
         for got, want in ((trace.mixing, h), (trace.inconsistency, i), (trace.magnitude, m)):
@@ -94,9 +101,9 @@ def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_ca
             assert trace.combined is None
 
         # Without losses, run does the steps' own work only.
-        g_calls[0] = 0
+        g_calls.sources = 0
         bare = run(spec, mixture, mags, cfg, record_losses=False)
-        assert g_calls[0] == (n_sources * bare.iterations if _step_applies_g(family, sigma) else 0)
+        assert g_calls.sources == (n_sources * bare.iterations if _step_applies_g(family, sigma) else 0)
         assert bare.iterations == trace.iterations
         assert np.array_equal(bare.estimates, trace.estimates)
         assert bare.mixing.size == bare.inconsistency.size == bare.magnitude.size == 0
@@ -108,3 +115,11 @@ def test_stop_tol_breaks_early():
     mixture, mags = _problem(cfg, 2)
     spec = AlgorithmSpec(family=Family.INCONS_HARDMIX, iterations=8, stop_tol=1e-3)
     assert run(spec, mixture, mags, cfg).iterations == 2
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_p_cons_is_one_g_call_per_source_set(n_sources, g_calls):
+    cfg = CONFIGS["32/8/fft48"]
+    _, mags = _problem(cfg, n_sources)
+    p_cons(mags.astype(complex), cfg)
+    assert (g_calls.calls, g_calls.sources) == (1, n_sources)

@@ -152,3 +152,36 @@ class TestGOperator:
         spec = random_phase(rng, stft(rng.standard_normal(800), small_cfg))
         residual = np.sum(np.abs(spec - g_operator(spec, small_cfg)) ** 2)
         assert inconsistency(spec[None], small_cfg) == pytest.approx(residual, rel=1e-12)
+
+
+class TestBatchedGOperator:
+    @pytest.mark.parametrize("n_sources", [1, 2, 3])
+    @pytest.mark.parametrize("cfg", [StftConfig(window_length=64, hop=16, sample_rate=8000),
+                                     StftConfig(window_length=32, hop=8, fft_size=48, sample_rate=8000)])
+    def test_source_set_equals_per_source_bit_for_bit(self, cfg, n_sources, rng):
+        specs = np.stack([random_phase(rng, stft(rng.standard_normal(500), cfg)) for _ in range(n_sources)])
+        specs[0, 4, :] = 0.0
+        joint = g_operator(specs, cfg)
+        assert joint.shape == specs.shape
+        for j in range(n_sources):
+            solo = g_operator(specs[j], cfg)
+            assert np.array_equal(np.ascontiguousarray(joint[j]).view(np.uint64),
+                                  np.ascontiguousarray(solo).view(np.uint64))
+        # The input's memory layout does not change the result.
+        c_order = g_operator(np.ascontiguousarray(specs), cfg)
+        assert np.array_equal(np.ascontiguousarray(c_order).view(np.uint64),
+                              np.ascontiguousarray(joint).view(np.uint64))
+
+    def test_one_finiteness_check_unless_skipped(self, small_cfg, rng):
+        specs = np.stack([stft(rng.standard_normal(500), small_cfg) for _ in range(2)])
+        specs[1, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            g_operator(specs, small_cfg)
+        with np.errstate(invalid="ignore"):
+            out = g_operator(specs, small_cfg, check_finite=False)
+        assert np.all(np.isfinite(out[0])) and not np.all(np.isfinite(out[1]))
+
+    @pytest.mark.parametrize("shape", [(33,), (2, 2, 33, 8), (32, 8), (2, 33, 3)])
+    def test_rejects_bad_shapes(self, small_cfg, shape):
+        with pytest.raises(ValueError):
+            g_operator(np.zeros(shape, complex), small_cfg)
