@@ -8,7 +8,7 @@ magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 family (sigma 1 where the family has one; the step computes its own G) and
 one 20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its
 losses recorded.  Timings are wall-clock milliseconds from
-``time.perf_counter``.
+``time.perf_counter``: the median of 7 calls per layer, of 3 for the ``run``.
 
 The results go under ``--label`` in the JSON file ``--out``; other labels
 already in the file are kept, so the same file can hold a before and an
@@ -38,6 +38,9 @@ from specinv.algorithms import AlgorithmSpec, Family
 
 SAMPLE_RATE = 16000
 DEGRADATION = 0.2
+CLIPS = (4.0, 20.0)  # seconds
+REPEATS = 7
+RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -60,7 +63,7 @@ def problem(seconds: float, cfg: spectral.StftConfig):
     return mix.mixture.samples, mixture, mags
 
 
-def time_clip(seconds: float, repeats: int) -> dict[str, float]:
+def time_clip(seconds: float) -> dict[str, float]:
     cfg = spectral.StftConfig(sample_rate=SAMPLE_RATE)
     samples, mixture, mags = problem(seconds, cfg)
     sources = algorithms.init_amplitude_mask(mixture, mags)
@@ -91,9 +94,7 @@ def time_clip(seconds: float, repeats: int) -> dict[str, float]:
     }
     out = {"source_shape": list(sources.shape)}
     for name, fn in layers.items():
-        # A 20-iteration run is ~20 steps long; fewer repeats keep it bearable.
-        reps = max(3, repeats // 2) if name.startswith("run_") else repeats
-        out[f"{name}_ms"] = median_ms(fn, reps)
+        out[f"{name}_ms"] = median_ms(fn, RUN_REPEATS if name.startswith("run_") else REPEATS)
         print(f"{seconds:g}s {name}: {out[f'{name}_ms']} ms", flush=True)
     return out
 
@@ -122,15 +123,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
     parser.add_argument("--label", required=True, help="key for this run in the JSON file")
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per layer (median)")
-    parser.add_argument("--seconds", type=float, nargs="+", default=[4.0, 20.0], help="clip lengths")
     args = parser.parse_args()
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
     record = {
         "machine": machine(),
-        "repeats": args.repeats,
-        "clips": {f"{s:g}s": time_clip(s, args.repeats) for s in args.seconds},
+        "repeats": REPEATS,
+        "clips": {f"{s:g}s": time_clip(s) for s in CLIPS},
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = record

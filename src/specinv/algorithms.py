@@ -116,9 +116,11 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
 
 # The steps compose the projectors' unchecked kernels: ``run`` validates its
 # inputs once and checks every iterate for non-finite values, so nothing
-# inside its loop scans the source set again.  ``weights`` is a J x F x T
-# array or the scalar 1/J.  ``cons`` is ``p_cons(sources, cfg)`` when the
-# caller already has it; by default the step computes it.
+# inside its loop scans the source set again.  Called on their own, the
+# steps check nothing: ``mags`` is trusted to be a J x F x T array >= 0.
+# ``weights`` is a J x F x T array or the scalar 1/J.  ``cons`` is
+# ``p_cons(sources, cfg)`` when the caller already has it; by default the
+# step computes it.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:

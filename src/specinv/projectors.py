@@ -102,9 +102,6 @@ def p_cons(sources: np.ndarray, cfg: StftConfig) -> np.ndarray:
 def _p_mix(sources: np.ndarray, mixture: np.ndarray, weights) -> np.ndarray:
     """``weights`` is a J x F x T array or the scalar 1/J."""
     residual = mixture - sources.sum(axis=0)
-    if np.ndim(weights) == 0:
-        residual *= weights
-        return sources + residual
     out = np.multiply(weights, residual, out=np.empty_like(sources))
     out += sources
     return out
