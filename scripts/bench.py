@@ -21,6 +21,7 @@ after run.  Time another checkout by putting its ``src`` first on
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -69,16 +70,13 @@ def time_clip(seconds: float) -> dict[str, float]:
     sources = algorithms.init_amplitude_mask(mixture, mags)
     weights = projectors.weights_magnitude_ratio(mags)
     n = samples.size
-    steps = {
-        "step_misi": lambda: algorithms.step_misi(sources, mixture, mags, cfg),
-        "step_mix_incons": lambda: algorithms.step_mix_incons(sources, mixture, weights, 1.0, cfg),
-        "step_mix_incons_hardmag": lambda: algorithms.step_mix_incons_hardmag(
-            sources, mixture, mags, weights, 1.0, cfg
-        ),
-        "step_incons_hardmix": lambda: algorithms.step_incons_hardmix(sources, mixture, cfg),
-        "step_mag_incons_hardmix": lambda: algorithms.step_mag_incons_hardmix(
-            sources, mixture, mags, 1.0, cfg
-        ),
+    steps = {  # the weights run would pass: 1/J where the family's row fixes it
+        f"step_{family.value}": functools.partial(
+            getattr(algorithms, f"step_{family.value}"), sources, mixture, mags,
+            1.0 / len(mags) if rule.uniform_weights else weights, 1.0, cfg,
+        )
+        for family, rule in algorithms.RULES.items()
+        if rule.has_step
     }
     spec = AlgorithmSpec(family=Family.MIX_INCONS_HARDMAG, sigma=1.0, iterations=20)
     layers = {

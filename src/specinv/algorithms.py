@@ -1,9 +1,10 @@
 """Unified alternating-projection engine for spectrogram inversion.
 
-Every algorithm family is one row of the update table: a composition of the
-magnitude, consistency and mixing projectors, possibly blended by a
-consistency weight sigma.  ``sigma = SIGMA_INF`` selects the analytic
-consistency-only limit; the formulas branch on it and never perform
+Every algorithm family is one row of the update table (``RULES``): a
+composition of the magnitude, consistency and mixing projectors, possibly
+blended by a consistency weight sigma.  The family's update is the module
+function ``step_<family.value>``.  ``sigma = SIGMA_INF`` selects the
+analytic consistency-only limit; the formulas branch on it and never perform
 floating-point arithmetic with infinity.
 """
 
@@ -14,20 +15,19 @@ from enum import Enum
 
 import numpy as np
 
-from .losses import _sq_dist, inconsistency, magnitude_mismatch, mixing_error
+from .losses import inconsistency, magnitude_mismatch, mixing_error
 from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
 from .spectral import StftConfig, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
 __all__ = [
     "DEFAULT_MAX_ITERATIONS",
-    "SIGMA_FREE",
+    "RULES",
     "SIGMA_INF",
-    "UNIFORM_ONLY",
     "AlgorithmSpec",
     "Family",
+    "Rule",
     "RunTrace",
-    "blend_mix_cons",
     "init_amplitude_mask",
     "run",
 ]
@@ -46,11 +46,25 @@ class Family(str, Enum):
     MAG_INCONS_HARDMIX = "mag_incons_hardmix"
 
 
-# Families whose update does not involve sigma.
-SIGMA_FREE = frozenset({Family.AM, Family.MISI, Family.INCONS_HARDMIX})
+@dataclass(frozen=True)
+class Rule:
+    """One row of the paper's update table."""
 
-# Families where the mixing weights are fixed at 1/J.
-UNIFORM_ONLY = frozenset({Family.MISI, Family.INCONS_HARDMIX, Family.MAG_INCONS_HARDMIX})
+    has_step: bool  # False: the amplitude-mask initialization is the estimate
+    sigma_enters: bool  # sigma blends P_cons into the update
+    uniform_weights: bool  # mixing weights fixed at 1/J
+    fixed_iterations: int | None  # iterations the sweep and the CLI run; None = any
+    combined_with: str | None  # "mixing" | "magnitude": the loss + sigma*inconsistency
+
+
+RULES = {
+    Family.AM: Rule(False, False, False, 0, None),
+    Family.MISI: Rule(True, False, True, None, None),
+    Family.MIX_INCONS: Rule(True, True, False, None, "mixing"),
+    Family.MIX_INCONS_HARDMAG: Rule(True, True, False, None, None),
+    Family.INCONS_HARDMIX: Rule(True, False, True, 1, None),
+    Family.MAG_INCONS_HARDMIX: Rule(True, True, True, None, "magnitude"),
+}
 
 
 @dataclass
@@ -61,8 +75,6 @@ class AlgorithmSpec:
     sigma: float = 0.0
     weight_scheme: str = "magratio"  # "uniform" | "magratio"
     iterations: int = DEFAULT_MAX_ITERATIONS
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    stop_tol: float | None = None  # optional relative-change early stop
 
     def __post_init__(self):
         self.family = Family(self.family)
@@ -72,16 +84,13 @@ class AlgorithmSpec:
             raise ValueError("sigma must be nonnegative")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.iterations > self.max_iterations:
-            raise ValueError(
-                f"iterations {self.iterations} exceeds cap {self.max_iterations}"
-            )
 
     def validation_warnings(self) -> list[str]:
+        rule = RULES[self.family]
         notes = []
-        if self.family in SIGMA_FREE and self.sigma != 0.0:
+        if not rule.sigma_enters and self.sigma != 0.0:
             notes.append(f"sigma is ignored by {self.family.value}")
-        if self.family in UNIFORM_ONLY and self.weight_scheme != "uniform":
+        if rule.uniform_weights and self.weight_scheme != "uniform":
             notes.append(f"{self.family.value} always uses uniform 1/J weights")
         return notes
 
@@ -114,13 +123,15 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return unit_phasor(mixture)[None] * mags
 
 
-# The steps compose the projectors' unchecked kernels: ``run`` validates its
-# inputs once and checks every iterate for non-finite values, so nothing
-# inside its loop scans the source set again.  Called on their own, the
-# steps check nothing: ``mags`` is trusted to be a J x F x T array >= 0.
-# ``weights`` is a J x F x T array or the scalar 1/J.  ``cons`` is
-# ``p_cons(sources, cfg)`` when the caller already has it; by default the
-# step computes it.
+# The steps share one signature, so ``run`` calls every family alike.  They
+# compose the projectors' unchecked kernels: ``run`` validates its inputs
+# once and checks every iterate for non-finite values, so nothing inside its
+# loop scans the source set again.  Called on their own, the steps check
+# nothing: ``mags`` is trusted to be a J x F x T array >= 0.  ``weights`` is
+# the family's Lambda, a J x F x T array or the scalar 1/J (``run`` passes
+# 1/J to the rows with uniform weights).  A step ignores the arguments its
+# formula does not use.  ``cons`` is ``p_cons(sources, cfg)`` when the
+# caller already has it; by default the step computes it.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
@@ -131,22 +142,13 @@ def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.n
     return y
 
 
-def blend_mix_cons(y: np.ndarray, z: np.ndarray, weights: np.ndarray, sigma: float) -> np.ndarray:
-    """(Y + sigma*Lambda*Z) / (1 + sigma*Lambda), with exact limits at 0 and inf."""
-    if sigma == 0.0:
-        return y
-    if sigma == SIGMA_INF:
-        return z
-    return _blend_in_place(np.array(y, dtype=np.complex128), z, weights, sigma)
-
-
-def step_misi(sources, mixture, mags, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_misi(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
     z = p_cons(sources, cfg) if cons is None else cons
-    return _p_mix(_p_mag(z, mags), mixture, 1.0 / sources.shape[0])
+    return _p_mix(_p_mag(z, mags), mixture, weights)
 
 
-def step_mix_incons(sources, mixture, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_mix_incons(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
         return _p_mix(sources, mixture, weights)
@@ -169,17 +171,17 @@ def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cfg: 
     return _p_mag(y, mags)
 
 
-def step_incons_hardmix(sources, mixture, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Consistency objective under a hard mixing constraint.
 
     Non-iterative: the correction term is itself consistent, so a second
     application leaves the estimate unchanged.
     """
     z = p_cons(sources, cfg) if cons is None else cons
-    return _p_mix(z, mixture, 1.0 / sources.shape[0])
+    return _p_mix(z, mixture, weights)
 
 
-def step_mag_incons_hardmix(sources, mixture, mags, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
     if sigma == 0.0:
         w = _p_mag(sources, mags)
@@ -189,21 +191,7 @@ def step_mag_incons_hardmix(sources, mixture, mags, sigma: float, cfg: StftConfi
             w = z
         else:
             w = _blend_in_place(_p_mag(sources, mags), z, 1.0, sigma)
-    return _p_mix(w, mixture, 1.0 / sources.shape[0])
-
-
-def _step_applies_g(family: Family, sigma: float) -> bool:
-    """Whether one step of ``family`` at ``sigma`` computes P_cons(S)."""
-    if family in (Family.MISI, Family.INCONS_HARDMIX):
-        return True
-    return family is not Family.AM and sigma != 0.0
-
-
-def _make_weights(spec: AlgorithmSpec, mags: np.ndarray):
-    """Magnitude-ratio weights, or the uniform weights as the scalar 1/J."""
-    if spec.family in UNIFORM_ONLY or spec.weight_scheme == "uniform":
-        return 1.0 / mags.shape[0]
-    return weights_magnitude_ratio(mags)
+    return _p_mix(w, mixture, weights)
 
 
 def _checked_inputs(mixture, mags) -> tuple[np.ndarray, np.ndarray]:
@@ -248,26 +236,21 @@ def run(
     finite raises ``FloatingPointError``.
     """
     mixture, mags = _checked_inputs(mixture, mags)
+    rule = RULES[spec.family]
     warnings = spec.validation_warnings()
-    weights = _make_weights(spec, mags)
     sigma = spec.sigma
-    step = {
-        Family.AM: None,
-        Family.MISI: lambda s, cons: step_misi(s, mixture, mags, cfg, cons=cons),
-        Family.MIX_INCONS: lambda s, cons: step_mix_incons(s, mixture, weights, sigma, cfg, cons=cons),
-        Family.MIX_INCONS_HARDMAG: lambda s, cons: step_mix_incons_hardmag(
-            s, mixture, mags, weights, sigma, cfg, cons=cons
-        ),
-        Family.INCONS_HARDMIX: lambda s, cons: step_incons_hardmix(s, mixture, cfg, cons=cons),
-        Family.MAG_INCONS_HARDMIX: lambda s, cons: step_mag_incons_hardmix(s, mixture, mags, sigma, cfg, cons=cons),
-    }[spec.family]
+    if rule.uniform_weights or spec.weight_scheme == "uniform":
+        weights = 1.0 / mags.shape[0]
+    else:
+        weights = weights_magnitude_ratio(mags)
+    # Looked up when run is called, not at import, so a wrapped step is used.
+    step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
+    n_steps = spec.iterations if rule.has_step else 0
     # run computes G(S_k) for the step, unchecked: every iterate is checked
     # below, so the step and the loss record can share it.
-    applies_g = _step_applies_g(spec.family, sigma)
+    applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
     sources = init_amplitude_mask(mixture, mags)
-    n_steps = 0 if spec.family is Family.AM else spec.iterations
-
     h, i, m = [], [], []
 
     def record(current, cons=None):
@@ -284,23 +267,16 @@ def run(
     if on_iterate is not None:
         on_iterate(0, sources)
 
-    executed = 0
     for k in range(1, n_steps + 1):
-        prev = sources
-        cons = g_operator(prev, cfg, check_finite=False) if applies_g else None
+        cons = g_operator(sources, cfg, check_finite=False) if applies_g else None
         if record_losses:
-            record(prev, cons)
-        sources = step(prev, cons)
+            record(sources, cons)
+        sources = step(sources, mixture, mags, weights, sigma, cfg, cons=cons)
         del cons
         if not np.all(np.isfinite(sources)):
             raise FloatingPointError("non-finite estimate produced")
-        executed = k
         if on_iterate is not None:
             on_iterate(k, sources)
-        if spec.stop_tol is not None:
-            denom = max(np.sqrt(_sq_dist(prev, 0.0)), 1e-300)
-            if np.sqrt(_sq_dist(sources, prev)) < spec.stop_tol * denom:
-                break
     if record_losses:
         record(sources)
 
@@ -308,17 +284,14 @@ def run(
     i = np.asarray(i)
     m = np.asarray(m)
     combined = None
-    if record_losses and sigma != SIGMA_INF and spec.family not in SIGMA_FREE:
-        if spec.family is Family.MIX_INCONS:
-            combined = h + sigma * i
-        elif spec.family is Family.MAG_INCONS_HARDMIX:
-            combined = m + sigma * i
+    if record_losses and rule.combined_with is not None and sigma != SIGMA_INF:
+        combined = {"mixing": h, "magnitude": m}[rule.combined_with] + sigma * i
     return RunTrace(
         mixing=h,
         inconsistency=i,
         magnitude=m,
         combined=combined,
         estimates=sources,
-        iterations=executed,
+        iterations=n_steps,
         warnings=warnings,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms
-from .algorithms import SIGMA_INF, AlgorithmSpec, Family
+from .algorithms import RULES, SIGMA_INF, AlgorithmSpec, Family
 from .experiment import load_sweep_config, parse_sigma, run_benchmark
 from .metrics import sdr
 from .signal_io import make_mixture, read_spectrogram, read_wav, write_wav
@@ -27,18 +27,13 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 EXIT_NUMERIC = 4
 
-# Algorithm names accepted by --algo: families plus their named special cases.
-ALGO_PRESETS = {
-    "am": (Family.AM, None, None),
-    "misi": (Family.MISI, None, None),
-    "mix_incons": (Family.MIX_INCONS, None, None),
+# --algo takes a family name or one of these named special cases:
+# (family, fixed sigma, fixed iterations or None).
+ALGO_ALIASES = {
     "mixture_proj": (Family.MIX_INCONS, 0.0, 1),
     "stft_proj": (Family.MIX_INCONS, SIGMA_INF, 1),
-    "mix_incons_hardmag": (Family.MIX_INCONS_HARDMAG, None, None),
     "pu_iter": (Family.MIX_INCONS_HARDMAG, 0.0, None),
     "griffin_lim": (Family.MIX_INCONS_HARDMAG, SIGMA_INF, None),
-    "incons_hardmix": (Family.INCONS_HARDMIX, None, 1),
-    "mag_incons_hardmix": (Family.MAG_INCONS_HARDMIX, None, None),
 }
 
 
@@ -106,10 +101,15 @@ def cmd_mix(args) -> int:
 
 
 def _resolve_algo(name: str, sigma_arg: str, iters: int):
-    if name not in ALGO_PRESETS:
-        valid = ", ".join(sorted(ALGO_PRESETS))
-        raise UsageError(f"unknown algorithm {name!r}; valid names: {valid}")
-    family, fixed_sigma, fixed_iters = ALGO_PRESETS[name]
+    if name in ALGO_ALIASES:
+        family, fixed_sigma, fixed_iters = ALGO_ALIASES[name]
+    else:
+        try:
+            family = Family(name)
+        except ValueError:
+            valid = ", ".join(sorted([*ALGO_ALIASES, *(f.value for f in Family)]))
+            raise UsageError(f"unknown algorithm {name!r}; valid names: {valid}") from None
+        fixed_sigma, fixed_iters = None, RULES[family].fixed_iterations
     sigma = fixed_sigma if fixed_sigma is not None else parse_sigma(sigma_arg)
     iterations = fixed_iters if fixed_iters is not None else iters
     return family, sigma, iterations
@@ -132,7 +132,6 @@ def cmd_separate(args) -> int:
         sigma=sigma,
         weight_scheme=args.weights,
         iterations=iterations,
-        max_iterations=max(iterations, 20),
     )
     trace = algorithms.run(spec, mixture_spec, mags, cfg)
     out = Path(args.out)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms
-from .algorithms import SIGMA_INF, AlgorithmSpec, Family
+from .algorithms import RULES, SIGMA_INF, AlgorithmSpec, Family
 from .metrics import sdr
 from .signal_io import (
     degrade_magnitudes,
@@ -202,19 +202,19 @@ class _AlgoJob:
 
 
 def _sweep_jobs(cfg: SweepConfig) -> list[_AlgoJob]:
+    """One job per family and sigma: the grid where sigma enters the update,
+    else 0.  A row with a fixed iteration count runs and records that count;
+    the others run ``max_iterations`` and record every iterate."""
     jobs = []
-    every = tuple(range(1, cfg.max_iterations + 1))
     for name in cfg.families:
         family = Family(name)
-        if family is Family.AM:
-            jobs.append(_AlgoJob(name, family, 0.0, 0, (0,)))
-        elif family is Family.MISI:
-            jobs.append(_AlgoJob(name, family, 0.0, cfg.max_iterations, every))
-        elif family is Family.INCONS_HARDMIX:
-            jobs.append(_AlgoJob(name, family, 0.0, 1, (1,)))
+        rule = RULES[family]
+        if rule.fixed_iterations is None:
+            iterations, record = cfg.max_iterations, tuple(range(1, cfg.max_iterations + 1))
         else:
-            for sigma in cfg.sigma_grid:
-                jobs.append(_AlgoJob(name, family, sigma, cfg.max_iterations, every))
+            iterations, record = rule.fixed_iterations, (rule.fixed_iterations,)
+        for sigma in cfg.sigma_grid if rule.sigma_enters else [0.0]:
+            jobs.append(_AlgoJob(name, family, sigma, iterations, record))
     return jobs
 
 
@@ -253,7 +253,6 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
             sigma=job.sigma,
             weight_scheme=cfg.weight_scheme,
             iterations=job.iterations,
-            max_iterations=max(job.iterations, cfg.max_iterations),
         )
         wanted = set(job.record_iters)
         per_iter: dict[int, tuple[float, float]] = {}

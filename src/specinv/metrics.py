@@ -14,8 +14,8 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     infinity.  Plain SDR, not scale-invariant: an estimate of 2x the
     reference scores 0 dB.
     """
-    reference = np.asarray(getattr(reference, "samples", reference), dtype=np.float64)
-    estimate = np.asarray(getattr(estimate, "samples", estimate), dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape:
         raise ValueError("length mismatch")
     # Plain sums, not np.linalg.norm: its BLAS dot leaves OpenBLAS worker

@@ -206,7 +206,6 @@ class DatasetManifest:
     sample_rate: int = 16000
     window_length: int = 1024
     hop: int = 256
-    n_sources: int = 2
     root: Path = field(default_factory=Path)
 
     def stft_config(self) -> StftConfig:
@@ -232,7 +231,6 @@ def load_manifest(path) -> DatasetManifest:
         sample_rate=doc.get("sample_rate", 16000),
         window_length=doc.get("window_length", 1024),
         hop=doc.get("hop", 256),
-        n_sources=doc.get("n_sources", 2),
         root=path.parent,
     )
 
@@ -242,7 +240,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         "sample_rate": manifest.sample_rate,
         "window_length": manifest.window_length,
         "hop": manifest.hop,
-        "n_sources": manifest.n_sources,
         "items": [
             {
                 "clean_path": it.clean_path,

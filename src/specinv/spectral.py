@@ -148,7 +148,7 @@ def _synthesize(frames_spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """One-sided STFT, returned as an F x T complex matrix in (T, F) memory."""
-    x = np.asarray(getattr(x, "samples", x), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(x)):

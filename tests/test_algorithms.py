@@ -14,8 +14,10 @@ from specinv import (
     weights_magnitude_ratio,
     weights_uniform,
 )
+from specinv import algorithms
 from specinv.algorithms import (
-    blend_mix_cons,
+    RULES,
+    _blend_in_place,
     step_incons_hardmix,
     step_mag_incons_hardmix,
     step_misi,
@@ -58,35 +60,35 @@ class TestSteps:
     def test_misi_output_conservative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_misi(sources, mixture, mags, small_cfg)
+        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         err = np.linalg.norm(out.sum(axis=0) - mixture)
         assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_misi_moves_from_am_init(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_misi(sources, mixture, mags, small_cfg)
+        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         assert np.linalg.norm(out - sources) > 0
 
     def test_misi_fixed_point(self, small_cfg, rng):
         # A consistent, conservative set matching its own magnitudes.
         signals, specs = random_sources(rng, small_cfg)
         mixture = stft(np.sum(signals, axis=0), small_cfg)
-        out = step_misi(specs, mixture, np.abs(specs), small_cfg)
+        out = step_misi(specs, mixture, np.abs(specs), 1 / len(specs), 0.0, small_cfg)
         assert np.linalg.norm(out - specs) <= 1e-10 * np.linalg.norm(specs)
 
     def test_blend_toy_example(self):
         y = np.array([[[1.0 + 1.0j]]])
         z = np.array([[[3.0 - 1.0j]]])
         lam = np.array([[[0.5]]])
-        out = blend_mix_cons(y, z, lam, sigma=2.0)
+        out = _blend_in_place(y.copy(), z, lam, sigma=2.0)
         assert out[0, 0, 0] == pytest.approx((y[0, 0, 0] + z[0, 0, 0]) / 2)
 
     def test_mix_incons_sigma_zero_is_p_mix(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons(sources, mixture, weights, 0.0, small_cfg)
+        out = step_mix_incons(sources, mixture, mags, weights, 0.0, small_cfg)
         ref = p_mix(sources, mixture, weights)
         assert np.max(np.abs(out - ref)) <= 1e-15
 
@@ -94,7 +96,7 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons(sources, mixture, weights, SIGMA_INF, small_cfg)
+        out = step_mix_incons(sources, mixture, mags, weights, SIGMA_INF, small_cfg)
         assert np.array_equal(out, p_cons(sources, small_cfg))
 
     def test_hardmag_sigma_zero_is_pu_iter(self, small_cfg, rng):
@@ -124,21 +126,21 @@ class TestSteps:
     def test_incons_hardmix_conservative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_incons_hardmix(sources, mixture, small_cfg)
+        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         err = np.linalg.norm(out.sum(axis=0) - mixture)
         assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_incons_hardmix_non_iterative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        once = step_incons_hardmix(sources, mixture, small_cfg)
-        twice = step_incons_hardmix(once, mixture, small_cfg)
+        once = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        twice = step_incons_hardmix(once, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         assert np.linalg.norm(twice - once) <= 1e-10 * np.linalg.norm(once)
 
     def test_incons_hardmix_equals_pmix_of_pcons(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_incons_hardmix(sources, mixture, small_cfg)
+        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         uni = weights_uniform(2, mixture.shape)
         ref = p_mix(p_cons(sources, small_cfg), mixture, uni)
         assert np.array_equal(out, ref)
@@ -147,35 +149,53 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         for sigma in (0.0, 1.0, SIGMA_INF):
-            out = step_mag_incons_hardmix(sources, mixture, mags, sigma, small_cfg)
+            out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), sigma, small_cfg)
             err = np.linalg.norm(out.sum(axis=0) - mixture)
             assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_mag_incons_hardmix_sigma_inf_matches_incons_hardmix(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_mag_incons_hardmix(sources, mixture, mags, SIGMA_INF, small_cfg)
-        ref = step_incons_hardmix(sources, mixture, small_cfg)
+        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), SIGMA_INF, small_cfg)
+        ref = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_mag_incons_hardmix_sigma_zero_closed_form(self, small_cfg, rng):
         # One step from the AM init equals the mixture-phase closed form.
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_mag_incons_hardmix(sources, mixture, mags, 0.0, small_cfg)
+        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
         phasor = unit_phasor(mixture)
         closed = (mags + (np.abs(mixture) - mags.sum(axis=0))[None] / 2) * phasor[None]
         assert np.linalg.norm(out - closed) <= 1e-10 * np.linalg.norm(closed)
+
+
+class TestRules:
+    def test_every_family_has_a_row(self):
+        assert set(RULES) == set(Family)
+
+    def test_every_row_with_a_step_has_its_function(self):
+        for family, rule in RULES.items():
+            assert callable(getattr(algorithms, f"step_{family.value}", None)) is rule.has_step
+
+    def test_run_calls_the_module_level_step(self, small_cfg, rng, monkeypatch):
+        mixture, mags = synthetic_problem(rng, small_cfg)
+        calls = []
+        real = algorithms.step_misi
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(algorithms, "step_misi", counting)
+        trace = run(AlgorithmSpec(family=Family.MISI, iterations=4), mixture, mags, small_cfg)
+        assert len(calls) == trace.iterations == 4
 
 
 class TestSpec:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             AlgorithmSpec(family=Family.MIX_INCONS, sigma=-1.0)
-
-    def test_rejects_iterations_above_cap(self):
-        with pytest.raises(ValueError):
-            AlgorithmSpec(family=Family.MISI, iterations=25, max_iterations=20)
 
     def test_sigma_warning_for_sigma_free_family(self):
         spec = AlgorithmSpec(family=Family.MISI, sigma=2.0)
@@ -276,14 +296,6 @@ class TestRun:
         mixture, mags = synthetic_problem(rng, small_cfg)
         trace = run(AlgorithmSpec(family=Family.MISI, sigma=5.0, iterations=1), mixture, mags, small_cfg)
         assert trace.warnings
-
-    def test_early_stop_flag(self, small_cfg, rng):
-        mixture, mags = synthetic_problem(rng, small_cfg)
-        # Incons_hardMix converges after one step, so the stop triggers.
-        spec = AlgorithmSpec(family=Family.INCONS_HARDMIX, iterations=20, stop_tol=1e-8)
-        trace = run(spec, mixture, mags, small_cfg)
-        assert trace.iterations < 20
-        assert len(trace.mixing) == trace.iterations + 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("family", [Family.AM, Family.MIX_INCONS])

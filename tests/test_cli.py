@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from specinv import StftConfig, istft, stft
-from specinv.algorithms import AlgorithmSpec, Family, run
-from specinv.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
+from specinv.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _resolve_algo, main
 from specinv.signal_io import (
     TimeSignal,
     oracle_magnitudes,
@@ -87,6 +87,23 @@ def separation_setup(tmp_path):
         write_spectrogram(p, mags[j])
         mag_paths.append(str(p))
     return cfg, mix_path, mag_paths, mixture, mags
+
+
+@pytest.mark.parametrize(("name", "want"), [
+    # am took --iters through, but run never steps AM; its row fixes 0.
+    ("am", (Family.AM, 0.5, 0)),
+    ("misi", (Family.MISI, 0.5, 7)),
+    ("mix_incons", (Family.MIX_INCONS, 0.5, 7)),
+    ("mixture_proj", (Family.MIX_INCONS, 0.0, 1)),
+    ("stft_proj", (Family.MIX_INCONS, SIGMA_INF, 1)),
+    ("mix_incons_hardmag", (Family.MIX_INCONS_HARDMAG, 0.5, 7)),
+    ("pu_iter", (Family.MIX_INCONS_HARDMAG, 0.0, 7)),
+    ("griffin_lim", (Family.MIX_INCONS_HARDMAG, SIGMA_INF, 7)),
+    ("incons_hardmix", (Family.INCONS_HARDMIX, 0.5, 1)),
+    ("mag_incons_hardmix", (Family.MAG_INCONS_HARDMIX, 0.5, 7)),
+])
+def test_algo_name_resolves(name, want):
+    assert _resolve_algo(name, "0.5", 7) == want
 
 
 class TestSeparate:

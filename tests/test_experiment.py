@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from specinv import algorithms, experiment
-from specinv.algorithms import SIGMA_INF
+from specinv.algorithms import SIGMA_INF, Family
 from specinv.experiment import (
     CSV_HEADER,
     ItemRecord,
@@ -123,6 +123,23 @@ class TestSweep:
         tiny_config.jobs = 2
         parallel = run_sweep(tiny_config)
         assert [r.csv_line() for r in serial.records] == [r.csv_line() for r in parallel.records]
+
+
+def test_default_sweep_jobs():
+    # The job list of the default configuration, as it was before the
+    # families' iteration counts and sigma use were read from one table.
+    grid = [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, SIGMA_INF]
+    every = tuple(range(1, 21))
+    want = [
+        ("am", Family.AM, 0.0, 0, (0,)),
+        ("misi", Family.MISI, 0.0, 20, every),
+        *[("mix_incons", Family.MIX_INCONS, s, 20, every) for s in grid],
+        *[("mix_incons_hardmag", Family.MIX_INCONS_HARDMAG, s, 20, every) for s in grid],
+        ("incons_hardmix", Family.INCONS_HARDMIX, 0.0, 1, (1,)),
+        *[("mag_incons_hardmix", Family.MAG_INCONS_HARDMIX, s, 20, every) for s in grid],
+    ]
+    jobs = experiment._sweep_jobs(SweepConfig(manifest="m.json", output_dir="out"))
+    assert [dataclasses.astuple(j) for j in jobs] == want
 
 
 class TestJobs:

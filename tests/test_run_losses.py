@@ -24,7 +24,6 @@ CONFIGS = {
 GRID = list(itertools.product(
     (0.0, 0.1, 1.0, 10.0, SIGMA_INF),  # sigma
     ("uniform", "magratio"),  # weight scheme
-    (None, 1e-3),  # stop_tol
     (0, 8),  # iterations
 ))
 
@@ -72,9 +71,8 @@ def g_calls(monkeypatch):
 def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_calls):
     cfg = CONFIGS[cfg_name]
     mixture, mags = _problem(cfg, n_sources)
-    for sigma, scheme, stop_tol, iterations in GRID:
-        spec = AlgorithmSpec(family=family, sigma=sigma, weight_scheme=scheme,
-                             iterations=iterations, stop_tol=stop_tol)
+    for sigma, scheme, iterations in GRID:
+        spec = AlgorithmSpec(family=family, sigma=sigma, weight_scheme=scheme, iterations=iterations)
         ref = []
 
         def naive(k, sources):
@@ -107,14 +105,6 @@ def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_ca
         assert bare.iterations == trace.iterations
         assert np.array_equal(bare.estimates, trace.estimates)
         assert bare.mixing.size == bare.inconsistency.size == bare.magnitude.size == 0
-
-
-def test_stop_tol_breaks_early():
-    # incons_hardmix is non-iterative, so its second step changes nothing.
-    cfg = CONFIGS["64/16"]
-    mixture, mags = _problem(cfg, 2)
-    spec = AlgorithmSpec(family=Family.INCONS_HARDMIX, iterations=8, stop_tol=1e-3)
-    assert run(spec, mixture, mags, cfg).iterations == 2
 
 
 @pytest.mark.parametrize("n_sources", [1, 2, 3])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -192,6 +194,20 @@ class TestManifest:
         assert back.items[1].isnr_db == 10.0
         assert back.stft_config().window_length == 1024
         assert back.resolve("test/c0.wav") == tmp_path / "test" / "c0.wav"
+
+    def test_old_manifest_with_n_sources_loads(self, tmp_path):
+        # Manifests used to carry "n_sources": 2, which nothing read.
+        doc = {
+            "sample_rate": 8000, "window_length": 256, "hop": 64, "n_sources": 2,
+            "items": [{"clean_path": "validation/c0.wav", "noise_path": "validation/n0.wav",
+                       "isnr_db": 5.0, "seed": 3, "split": "validation"}],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        back = load_manifest(tmp_path / "manifest.json")
+        assert back.stft_config() == StftConfig(window_length=256, hop=64, sample_rate=8000)
+        assert back.items == [ManifestItem("validation/c0.wav", "validation/n0.wav", 5.0, 3, "validation")]
+        save_manifest(back, tmp_path / "resaved.json")
+        assert "n_sources" not in json.loads((tmp_path / "resaved.json").read_text())
 
     def test_invalid_split_rejected(self):
         with pytest.raises(ValueError, match="split"):
