@@ -3,8 +3,8 @@ mixing and magnitude constraints."""
 
 from .algorithms import SIGMA_INF, AlgorithmSpec, Family, RunTrace, init_amplitude_mask, run
 from .losses import inconsistency, magnitude_mismatch, mixing_error
-from .metrics import sdr, sdr_batch
-from .projectors import p_cons, p_mag, p_mix, weights_magnitude_ratio, weights_uniform
+from .metrics import sdr
+from .projectors import p_cons, p_mag, p_mix, weights_magnitude_ratio
 from .spectral import StftConfig, TimeSignal, g_operator, istft, stft
 
 __all__ = [
@@ -25,8 +25,6 @@ __all__ = [
     "p_mix",
     "run",
     "sdr",
-    "sdr_batch",
     "stft",
     "weights_magnitude_ratio",
-    "weights_uniform",
 ]

@@ -10,6 +10,7 @@ floating-point arithmetic with infinity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,6 +36,14 @@ __all__ = [
 SIGMA_INF = float("inf")
 
 DEFAULT_MAX_ITERATIONS = 20
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Family(str, Enum):
@@ -80,10 +89,10 @@ class AlgorithmSpec:
         self.family = Family(self.family)
         if self.weight_scheme not in ("uniform", "magratio"):
             raise ValueError(f"unknown weight scheme: {self.weight_scheme}")
-        if not (self.sigma >= 0):
-            raise ValueError("sigma must be nonnegative")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        if not (_is_real(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be a number >= 0, got {self.sigma!r}")
+        if not (_is_int(self.iterations) and self.iterations >= 0):
+            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
 
     def validation_warnings(self) -> list[str]:
         rule = RULES[self.family]
@@ -239,7 +248,7 @@ def run(
     rule = RULES[spec.family]
     warnings = spec.validation_warnings()
     sigma = spec.sigma
-    if rule.uniform_weights or spec.weight_scheme == "uniform":
+    if not rule.has_step or rule.uniform_weights or spec.weight_scheme == "uniform":
         weights = 1.0 / mags.shape[0]
     else:
         weights = weights_magnitude_ratio(mags)

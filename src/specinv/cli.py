@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms
-from .algorithms import RULES, SIGMA_INF, AlgorithmSpec, Family
+from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec, Family
 from .experiment import load_sweep_config, parse_sigma, run_benchmark
 from .metrics import sdr
 from .signal_io import make_mixture, read_spectrogram, read_wav, write_wav
@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
     sep.add_argument("--mags", nargs="+", required=True, help="SPGM magnitude files, one per source")
     sep.add_argument("--algo", required=True)
     sep.add_argument("--sigma", default="0")
-    sep.add_argument("--iters", type=int, default=20)
+    sep.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERATIONS)
     sep.add_argument("--weights", choices=["uniform", "magratio"], default="magratio")
     sep.add_argument("--window", type=int, default=1024)
     sep.add_argument("--hop", type=int, default=256)

@@ -11,7 +11,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms
-from .algorithms import RULES, SIGMA_INF, AlgorithmSpec, Family
+from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec, Family, _is_int, _is_real
 from .metrics import sdr
 from .signal_io import (
     degrade_magnitudes,
@@ -58,7 +57,7 @@ class SweepConfig:
     output_dir: str
     families: list[str] = field(default_factory=lambda: list(DEFAULT_FAMILIES))
     sigma_grid: list[float] = field(default_factory=lambda: list(DEFAULT_SIGMA_GRID))
-    max_iterations: int = 20
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
     weight_scheme: str = "magratio"
     degradation_levels: list[float] = field(default_factory=lambda: list(DEFAULT_DEGRADATION_LEVELS))
     jobs: int | None = None  # worker processes; None = one per usable CPU
@@ -84,14 +83,6 @@ class SweepConfig:
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         self.families = [Family(f).value for f in self.families]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -156,38 +147,14 @@ class ItemRecord:
 
 
 class ResultTable:
-    """Flat list of per-item records with aggregation helpers."""
+    """Per-item records in sort-key order."""
 
     def __init__(self, records: list[ItemRecord]):
         self.records = sorted(records, key=ItemRecord.sort_key)
 
-    def configurations(self, algorithm: str | None = None, split: str | None = None):
-        """Group records by (algorithm, sigma, iterations); returns dict -> records."""
-        groups: dict[tuple, list[ItemRecord]] = {}
-        for rec in self.records:
-            if algorithm is not None and rec.algorithm != algorithm:
-                continue
-            if split is not None and rec.split != split:
-                continue
-            groups.setdefault((rec.algorithm, rec.sigma, rec.iterations), []).append(rec)
-        return groups
-
-    def mean_sdr(self, **filters) -> float:
-        values = [
-            r.sdr_db
-            for r in self.records
-            if all(getattr(r, k) == v for k, v in filters.items())
-        ]
-        if not values:
-            raise ValueError(f"no records match {filters}")
-        return float(np.mean(values))
-
     def write_csv(self, path) -> None:
         lines = [CSV_HEADER] + [r.csv_line() for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n")
-
-    def __len__(self):
-        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -357,15 +324,14 @@ def select_best(table: ResultTable, algorithm: str) -> tuple[float, int]:
 
     Ties are broken by fewer iterations, then smaller sigma.
     """
-    groups = table.configurations(algorithm=algorithm)
+    groups: dict[tuple[float, int], list[float]] = {}
+    for rec in table.records:
+        if rec.algorithm == algorithm:
+            groups.setdefault((rec.sigma, rec.iterations), []).append(rec.sdr_db)
     if not groups:
         raise ValueError(f"no records for algorithm {algorithm!r}")
-    candidates = [
-        (float(np.mean([r.sdr_db for r in recs])), sigma, iters)
-        for (_, sigma, iters), recs in groups.items()
-    ]
-    candidates.sort(key=lambda c: (-c[0], c[2], c[1]))
-    _, sigma, iters = candidates[0]
+    candidates = [(float(np.mean(v)), sigma, iters) for (sigma, iters), v in groups.items()]
+    _, sigma, iters = min(candidates, key=lambda c: (-c[0], c[2], c[1]))
     return sigma, iters
 
 

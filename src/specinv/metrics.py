@@ -28,11 +28,3 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     if err_norm == 0:
         return SDR_CAP_DB
     return min(SDR_CAP_DB, 20.0 * np.log10(ref_norm / err_norm))
-
-
-def sdr_batch(pairs) -> tuple[float, list[float]]:
-    """Mean and per-pair SDR over (reference, estimate) pairs."""
-    values = [sdr(ref, est) for ref, est in pairs]
-    if not values:
-        raise ValueError("empty batch")
-    return float(np.mean(values)), values

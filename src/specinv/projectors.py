@@ -45,13 +45,6 @@ def _as_source_set(s) -> np.ndarray:
     return s
 
 
-def weights_uniform(n_sources: int, shape: tuple[int, int]) -> np.ndarray:
-    """Constant 1/J mixing weights."""
-    if n_sources < 1:
-        raise ValueError("need at least one source")
-    return np.full((n_sources,) + tuple(shape), 1.0 / n_sources)
-
-
 def weights_magnitude_ratio(mags: np.ndarray, floor: float | None = None) -> np.ndarray:
     """Per-bin magnitude-ratio weights V_j / sum_k V_k.
 

@@ -1,8 +1,9 @@
 """WAV and spectrogram file I/O, mixture synthesis, magnitude models.
 
-The spectrogram container is a small little-endian binary format ("SPGM"):
-magic, version byte, payload-kind byte (0 = real float64, 1 = complex
-float64 interleaved), two u32 dimensions, then the row-major payload.
+WAVs are read as mono PCM16 or float32 and written as float32.  The
+spectrogram container is a small little-endian binary format ("SPGM") for
+real matrices only: magic, version byte, payload-kind byte (0 = float64,
+the one kind), two u32 dimensions, then the row-major float64 payload.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .spectral import StftConfig, TimeSignal, stft
 SPGM_MAGIC = b"SPGM"
 SPGM_VERSION = 1
 _KIND_REAL = 0
-_KIND_COMPLEX = 1
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +50,9 @@ def read_wav(path) -> TimeSignal:
     return TimeSignal(samples, int(rate))
 
 
-def write_wav(path, signal: TimeSignal, fmt: str = "float32") -> None:
-    """Write a mono WAV file as IEEE float32 (default) or PCM16."""
-    samples = signal.samples
-    if fmt == "float32":
-        wavfile.write(path, signal.sample_rate, samples.astype(np.float32))
-    elif fmt == "pcm16":
-        clipped = np.clip(samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, signal.sample_rate, np.round(clipped * 32768.0).astype(np.int16))
-    else:
-        raise ValueError(f"unsupported WAV format: {fmt}")
+def write_wav(path, signal: TimeSignal) -> None:
+    """Write a mono IEEE float32 WAV file."""
+    wavfile.write(path, signal.sample_rate, signal.samples.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +60,22 @@ def write_wav(path, signal: TimeSignal, fmt: str = "float32") -> None:
 # ---------------------------------------------------------------------------
 
 def write_spectrogram(path, matrix: np.ndarray) -> None:
-    """Write a real or complex F x T matrix as an SPGM file."""
+    """Write a real F x T matrix as an SPGM file; complex input is rejected."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("spectrogram must be a 2-D matrix")
     if max(matrix.shape) >= 2**32:
         raise ValueError("dimension overflow")
+    # The float64 cast would drop the imaginary part with only a warning.
     if np.iscomplexobj(matrix):
-        kind = _KIND_COMPLEX
-        payload = np.ascontiguousarray(matrix, dtype="<c16").tobytes()
-    else:
-        kind = _KIND_REAL
-        payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    header = struct.pack("<4sBBII", SPGM_MAGIC, SPGM_VERSION, kind, *matrix.shape)
+        raise ValueError("SPGM holds real matrices only; got complex input")
+    payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    header = struct.pack("<4sBBII", SPGM_MAGIC, SPGM_VERSION, _KIND_REAL, *matrix.shape)
     Path(path).write_bytes(header + payload)
 
 
 def read_spectrogram(path) -> np.ndarray:
-    """Read an SPGM file back into a float64 or complex128 matrix."""
+    """Read an SPGM file back into a float64 matrix."""
     raw = Path(path).read_bytes()
     header_size = struct.calcsize("<4sBBII")
     if len(raw) < header_size:
@@ -94,17 +85,12 @@ def read_spectrogram(path) -> np.ndarray:
         raise ValueError("not a spectrogram file")
     if version != SPGM_VERSION:
         raise ValueError(f"unsupported spectrogram version {version}")
-    if kind == _KIND_REAL:
-        dtype, itemsize = "<f8", 8
-    elif kind == _KIND_COMPLEX:
-        dtype, itemsize = "<c16", 16
-    else:
+    if kind != _KIND_REAL:
         raise ValueError(f"unknown payload kind {kind}")
-    expected = header_size + n_rows * n_cols * itemsize
-    if len(raw) != expected:
+    if len(raw) != header_size + n_rows * n_cols * 8:
         raise ValueError("truncated spectrogram payload")
-    data = np.frombuffer(raw, dtype=dtype, offset=header_size)
-    return data.reshape(n_rows, n_cols).astype(data.dtype.newbyteorder("="))
+    data = np.frombuffer(raw, dtype="<f8", offset=header_size)
+    return data.reshape(n_rows, n_cols).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

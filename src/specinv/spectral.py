@@ -40,28 +40,24 @@ def _window_sq_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
 class StftConfig:
     """Parameters of the STFT pair.
 
-    ``hop`` must divide ``window_length``; the squared-window overlap-add
-    sum must be constant over interior samples (checked at construction).
-    Signals are zero-padded by ``window_length - hop`` samples on both
-    sides so every retained sample gets full window coverage.
+    The FFT length is ``window_length``.  ``hop`` must divide
+    ``window_length``; the squared-window overlap-add sum must be constant
+    over interior samples (checked at construction).  Signals are
+    zero-padded by ``window_length - hop`` samples on both sides so every
+    retained sample gets full window coverage.
     """
 
     window_length: int = 1024
     hop: int = 256
-    fft_size: int | None = None
     sample_rate: int = 16000
 
     _window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fft_size is None:
-            object.__setattr__(self, "fft_size", self.window_length)
         if self.window_length < 1 or self.hop < 1:
             raise ValueError("window_length and hop must be positive")
         if self.window_length % self.hop != 0:
             raise ValueError("hop must divide window_length")
-        if self.fft_size < self.window_length:
-            raise ValueError("fft_size must be >= window_length")
         win = hann_periodic(self.window_length)
         object.__setattr__(self, "_window", win)
         self._check_cola()
@@ -86,7 +82,7 @@ class StftConfig:
 
     @property
     def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
+        return self.window_length // 2 + 1
 
     def num_frames(self, n_samples: int) -> int:
         """Frame count produced by ``stft`` for a signal of ``n_samples``."""
@@ -127,13 +123,13 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
 def _analyze(buf: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Window the frames of a padded signal buffer and ``rfft`` them: T x F."""
     frames = sliding_window_view(buf, cfg.window_length)[:: cfg.hop] * cfg.window
-    return np.fft.rfft(frames, n=cfg.fft_size, axis=1, out=out)
+    return np.fft.rfft(frames, axis=1, out=out)
 
 
 def _synthesize(frames_spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Least-squares overlap-add of a T x F spectrogram over the whole padded buffer."""
     n_frames = frames_spec.shape[0]
-    frames = np.fft.irfft(frames_spec, n=cfg.fft_size, axis=1)[:, : cfg.window_length]
+    frames = np.fft.irfft(frames_spec, n=cfg.window_length, axis=1)
     frames *= cfg.window
     # Overlap-add via hop-sized chunks: chunk c of frame t lands at (t+c)*hop.
     ratio = cfg.window_length // cfg.hop

@@ -33,7 +33,6 @@ from specinv.projectors import (
     p_mix,
     unit_phasor,
     weights_magnitude_ratio,
-    weights_uniform,
 )
 from specinv.spectral import StftConfig, g_operator, istft, stft
 from specinv.synth import generate_dataset
@@ -200,7 +199,7 @@ def test_acceptance_05_special_case_equivalences(report):
         mixture, mags = _random_mixture(rng, SMALL, 3000)
         s = _random_sources(rng, SMALL, n_frames=mixture.shape[1])
         w = weights_magnitude_ratio(mags)
-        uni = weights_uniform(2, mixture.shape)
+        uni = np.full((2,) + mixture.shape, 1.0 / 2)
         check("mix_incons(0) = mixture projection",
               step_mix_incons(s, mixture, mags, w, 0.0, SMALL), p_mix(s, mixture, w))
         check("mix_incons(inf) = consistency projection",

@@ -12,7 +12,6 @@ from specinv import (
     run,
     stft,
     weights_magnitude_ratio,
-    weights_uniform,
 )
 from specinv import algorithms
 from specinv.algorithms import (
@@ -54,6 +53,13 @@ class TestInit:
         for j in range(2):
             mask = mags[j] > 0
             assert np.max(np.abs(unit_phasor(init[j])[mask] - phasor[mask])) < 1e-12
+
+    def test_rejects_shape_mismatch_and_negative_magnitude(self):
+        mixture = np.ones((3, 4), complex)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            init_amplitude_mask(mixture, np.ones((2, 3, 5)))
+        with pytest.raises(ValueError, match="invalid magnitude"):
+            init_amplitude_mask(mixture, np.full((2, 3, 4), -1.0))
 
 
 class TestSteps:
@@ -141,7 +147,7 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
-        uni = weights_uniform(2, mixture.shape)
+        uni = np.full((2,) + mixture.shape, 1.0 / 2)
         ref = p_mix(p_cons(sources, small_cfg), mixture, uni)
         assert np.array_equal(out, ref)
 
@@ -204,6 +210,12 @@ class TestSpec:
     def test_accepts_string_family(self):
         assert AlgorithmSpec(family="misi").family is Family.MISI
 
+    @pytest.mark.parametrize("kwargs", [{"iterations": 2.5}, {"iterations": True}, {"sigma": "1"}],
+                             ids=["float_iterations", "bool_iterations", "str_sigma"])
+    def test_rejects_wrong_types(self, kwargs):
+        with pytest.raises(ValueError):
+            AlgorithmSpec(family=Family.MIX_INCONS, **kwargs)
+
 
 class TestRun:
     def test_am_trace_length_one(self, small_cfg, rng):
@@ -212,6 +224,15 @@ class TestRun:
         assert trace.iterations == 0
         assert len(trace.mixing) == 1
         assert np.array_equal(trace.estimates, init_amplitude_mask(mixture, mags))
+
+    def test_am_computes_no_weights(self, small_cfg, rng, monkeypatch):
+        mixture, mags = synthetic_problem(rng, small_cfg)
+
+        def fail(*_):
+            raise AssertionError("am has no step to use mixing weights")
+
+        monkeypatch.setattr(algorithms, "weights_magnitude_ratio", fail)
+        run(AlgorithmSpec(family=Family.AM, weight_scheme="magratio"), mixture, mags, small_cfg)
 
     def test_zero_iterations_returns_init(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)

@@ -1,9 +1,10 @@
 """Dense reference oracle for the STFT pair and the consistency operator G.
 
-On tiny configs (window 16, hop 4) the STFT is built as an explicit matrix
-from a loop-and-sum DFT, the iSTFT is the weighted least-squares inverse of
-that matrix (bin weight 1 at DC and Nyquist, 2 elsewhere: the two-sided
-norm seen from the one-sided spectrum), and G is their product.  The fast
+On tiny configs (window/hop 16/4, 24/4 and 25/5; the odd window has no
+Nyquist bin) the STFT is built as an explicit matrix from a loop-and-sum
+DFT, the iSTFT is the weighted least-squares inverse of that matrix (bin
+weight 1 at DC and Nyquist, 2 elsewhere: the two-sided norm seen from the
+one-sided spectrum), and G is their product.  The fast
 ``stft``, ``istft``, ``g_operator`` and ``p_cons`` must agree with these to
 1e-12 relative, and G over a source set must equal G per source bit for bit.
 """
@@ -17,27 +18,27 @@ import pytest
 from specinv.projectors import p_cons
 from specinv.spectral import StftConfig, g_operator, istft, stft
 
-FFT_SIZES = (16, 24, 25)
+WINDOWS = (16, 24, 25)  # hop 4, 4 and 5; the FFT length is the window
 LENGTHS = (37, 40, 41)  # 40 lies on the hop grid, 37 and 41 do not
 RTOL = 1e-12
 
 
-def _cfg(fft_size):
-    return StftConfig(window_length=16, hop=4, fft_size=fft_size, sample_rate=8000)
+def _cfg(window):
+    return StftConfig(window_length=window, hop=5 if window % 5 == 0 else 4, sample_rate=8000)
 
 
 def _loop_stft(x, cfg):
     """The STFT by its definition: pad, window each frame, sum the DFT."""
-    w, hop, n_fft = cfg.window_length, cfg.hop, cfg.fft_size
+    w, hop = cfg.window_length, cfg.hop
     pad = w - hop
     n_frames = -(-(x.size + 2 * pad - w) // hop) + 1
     buf = np.concatenate([np.zeros(pad), x, np.zeros((n_frames - 1) * hop + w - pad - x.size)])
     window = [0.5 - 0.5 * np.cos(2 * np.pi * n / w) for n in range(w)]
-    out = np.zeros((n_fft // 2 + 1, n_frames), complex)
+    out = np.zeros((w // 2 + 1, n_frames), complex)
     for t in range(n_frames):
-        for k in range(n_fft // 2 + 1):
+        for k in range(w // 2 + 1):
             out[k, t] = sum(
-                buf[t * hop + n] * window[n] * np.exp(-2j * np.pi * k * n / n_fft) for n in range(w)
+                buf[t * hop + n] * window[n] * np.exp(-2j * np.pi * k * n / w) for n in range(w)
             )
     return out
 
@@ -52,7 +53,7 @@ def _stft_matrix(cfg, n_samples):
 def _bin_weights(cfg, n_frames):
     c = np.full(cfg.n_bins, 2.0)
     c[0] = 1.0
-    if cfg.fft_size % 2 == 0:
+    if cfg.window_length % 2 == 0:
         c[-1] = 1.0
     return np.repeat(c, n_frames)
 
@@ -97,10 +98,10 @@ def _spectra(cfg, n_frames, n_sources, seed):
     return s
 
 
-@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("n_samples", LENGTHS)
-def test_stft_matches_dense_matrix(fft_size, n_samples):
-    cfg = _cfg(fft_size)
+def test_stft_matches_dense_matrix(window, n_samples):
+    cfg = _cfg(window)
     rng = np.random.default_rng(n_samples)
     x = rng.standard_normal(n_samples)
     x[5:9] = 0.0
@@ -109,10 +110,10 @@ def test_stft_matches_dense_matrix(fft_size, n_samples):
     _assert_close(stft(x, cfg), _loop_stft(x, cfg))
 
 
-@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("n_samples", LENGTHS)
-def test_istft_is_weighted_least_squares(fft_size, n_samples):
-    cfg = _cfg(fft_size)
+def test_istft_is_weighted_least_squares(window, n_samples):
+    cfg = _cfg(window)
     n_frames = cfg.num_frames(n_samples)
     spec = _spectra(cfg, n_frames, 1, n_samples)[0]
     want = (_lsq_inverse(cfg, n_samples) @ spec.ravel()).real
@@ -122,24 +123,24 @@ def test_istft_is_weighted_least_squares(fft_size, n_samples):
     _assert_close(istft(stft(x, cfg), cfg, n_samples), x)
 
 
-@pytest.mark.parametrize("fft_size", FFT_SIZES)
+@pytest.mark.parametrize("window", WINDOWS)
 @pytest.mark.parametrize("n_frames", (6, 9))
-def test_g_matches_dense_operator(fft_size, n_frames):
-    cfg = _cfg(fft_size)
+def test_g_matches_dense_operator(window, n_frames):
+    cfg = _cfg(window)
     dense = _dense_g(cfg, n_frames)
-    for s in _spectra(cfg, n_frames, 3, n_frames + fft_size):
+    for s in _spectra(cfg, n_frames, 3, n_frames + window):
         _assert_close(g_operator(s, cfg), _apply_g(dense, s))
     # The dense G is a projection: G(G(S)) = G(S).
     s = _spectra(cfg, n_frames, 1, 1)[0]
     _assert_close(_apply_g(dense, _apply_g(dense, s)), _apply_g(dense, s))
 
 
-@pytest.mark.parametrize(("fft_size", "n_sources"), list(itertools.product(FFT_SIZES, (1, 2, 3))))
-def test_p_cons_over_source_set_matches_dense_and_per_source(fft_size, n_sources):
-    cfg = _cfg(fft_size)
+@pytest.mark.parametrize(("window", "n_sources"), list(itertools.product(WINDOWS, (1, 2, 3))))
+def test_p_cons_over_source_set_matches_dense_and_per_source(window, n_sources):
+    cfg = _cfg(window)
     n_frames = 7
     dense = _dense_g(cfg, n_frames)
-    sources = _spectra(cfg, n_frames, n_sources, fft_size * n_sources)
+    sources = _spectra(cfg, n_frames, n_sources, window * n_sources)
     joint = p_cons(sources, cfg)
     assert joint.shape == sources.shape
     for j, s in enumerate(sources):

@@ -9,7 +9,6 @@ from specinv import (
     p_mag,
     p_mix,
     stft,
-    weights_uniform,
 )
 
 from conftest import random_phase, random_sources
@@ -28,7 +27,7 @@ class TestMixingError:
     def test_zeroed_by_p_mix(self, rng):
         sources = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
         mixture = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        out = p_mix(sources, mixture, weights_uniform(2, (4, 5)))
+        out = p_mix(sources, mixture, np.full((2, 4, 5), 1.0 / 2))
         assert mixing_error(out, mixture) < 1e-10
 
     def test_shape_mismatch(self):

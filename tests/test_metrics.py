@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specinv import sdr, sdr_batch
+from specinv import sdr
 
 
 class TestSdr:
@@ -51,27 +51,3 @@ class TestSdr:
         expected = 20 * np.log10(np.linalg.norm(ref) / np.linalg.norm(ref - est))
         assert sdr(ref, est) == pytest.approx(expected, abs=1e-12)
 
-
-class TestSdrBatch:
-    def test_single_pair(self, rng):
-        x = rng.standard_normal(100)
-        mean, per = sdr_batch([(x, 2 * x)])
-        assert mean == per[0]
-
-    def test_mean_of_known_pairs(self, rng):
-        x = rng.standard_normal(100)
-        mean, per = sdr_batch([(x, 2 * x), (x, 0.5 * x)])
-        assert per[0] == pytest.approx(0.0, abs=1e-12)
-        assert per[1] == pytest.approx(6.0206, abs=1e-3)
-        assert mean == pytest.approx(3.0103, abs=1e-3)
-
-    def test_permutation_invariant_mean(self, rng):
-        x = rng.standard_normal(100)
-        pairs = [(x, 2 * x), (x, 0.5 * x), (x, x + 0.1)]
-        mean1, _ = sdr_batch(pairs)
-        mean2, _ = sdr_batch(pairs[::-1])
-        assert mean1 == pytest.approx(mean2, rel=1e-15)
-
-    def test_empty_batch(self):
-        with pytest.raises(ValueError):
-            sdr_batch([])

@@ -8,7 +8,6 @@ from specinv import (
     p_mag,
     p_mix,
     weights_magnitude_ratio,
-    weights_uniform,
 )
 from specinv.losses import inconsistency, magnitude_mismatch, mixing_error
 
@@ -16,21 +15,6 @@ from conftest import random_phase, random_sources
 
 
 class TestWeights:
-    def test_uniform_two_sources(self):
-        w = weights_uniform(2, (3, 4))
-        assert np.all(w == 0.5)
-
-    def test_uniform_single_source(self):
-        assert np.all(weights_uniform(1, (3, 4)) == 1.0)
-
-    def test_uniform_sums_to_one(self):
-        w = weights_uniform(4, (5, 6))
-        assert np.allclose(w.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_uniform_rejects_zero_sources(self):
-        with pytest.raises(ValueError):
-            weights_uniform(0, (3, 4))
-
     def test_magnitude_ratio_direct(self):
         mags = np.array([[[3.0]], [[1.0]]])
         w = weights_magnitude_ratio(mags)
@@ -124,14 +108,14 @@ class TestPMix:
     def test_symmetric_residual_split(self):
         sources = np.array([[[1.0 + 0j]], [[1.0 + 0j]]])
         mixture = np.array([[4.0 + 0j]])
-        out = p_mix(sources, mixture, weights_uniform(2, (1, 1)))
+        out = p_mix(sources, mixture, np.full((2, 1, 1), 1.0 / 2))
         assert out[0, 0, 0] == pytest.approx(2.0)
         assert out[1, 0, 0] == pytest.approx(2.0)
 
     def test_already_conservative_unchanged(self, rng):
         sources = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
         mixture = sources.sum(axis=0)
-        out = p_mix(sources, mixture, weights_uniform(2, (4, 5)))
+        out = p_mix(sources, mixture, np.full((2, 4, 5), 1.0 / 2))
         assert np.max(np.abs(out - sources)) < 1e-12 * np.max(np.abs(sources))
 
     def test_conservative_with_magnitude_ratio_weights(self, rng):
@@ -145,12 +129,12 @@ class TestPMix:
     def test_zeroes_mixing_loss(self, rng):
         sources = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
         mixture = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        out = p_mix(sources, mixture, weights_uniform(2, (4, 5)))
+        out = p_mix(sources, mixture, np.full((2, 4, 5), 1.0 / 2))
         assert mixing_error(out, mixture) < 1e-18 * np.sum(np.abs(mixture) ** 2)
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shape mismatch"):
-            p_mix(np.ones((2, 4, 5), complex), np.ones((4, 6), complex), weights_uniform(2, (4, 5)))
+            p_mix(np.ones((2, 4, 5), complex), np.ones((4, 6), complex), np.full((2, 4, 5), 1.0 / 2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), uniform=st.booleans())
@@ -159,7 +143,7 @@ class TestPMix:
         sources = gen.standard_normal((2, 4, 5)) + 1j * gen.standard_normal((2, 4, 5))
         mixture = gen.standard_normal((4, 5)) + 1j * gen.standard_normal((4, 5))
         if uniform:
-            weights = weights_uniform(2, (4, 5))
+            weights = np.full((2, 4, 5), 1.0 / 2)
         else:
             weights = weights_magnitude_ratio(gen.uniform(0, 1, (2, 4, 5)))
         out = p_mix(sources, mixture, weights)

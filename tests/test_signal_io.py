@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -60,12 +61,18 @@ class TestSpgm:
         write_spectrogram(tmp_path / "m.spgm", m)
         assert np.array_equal(read_spectrogram(tmp_path / "m.spgm"), m)
 
-    def test_complex_round_trip(self, tmp_path, rng):
+    def test_complex_input_rejected(self, tmp_path, rng):
         m = rng.standard_normal((20, 30)) + 1j * rng.standard_normal((20, 30))
-        write_spectrogram(tmp_path / "c.spgm", m)
-        back = read_spectrogram(tmp_path / "c.spgm")
-        assert np.array_equal(back.real, m.real)
-        assert np.array_equal(back.imag, m.imag)
+        with pytest.raises(ValueError, match="real"):
+            write_spectrogram(tmp_path / "c.spgm", m)
+        assert not (tmp_path / "c.spgm").exists()
+
+    def test_complex_payload_kind_rejected(self, tmp_path):
+        # Kind 1 (complex float64) is not a payload kind of the format.
+        path = tmp_path / "c.spgm"
+        path.write_bytes(struct.pack("<4sBBII", b"SPGM", 1, 1, 2, 3) + bytes(2 * 3 * 16))
+        with pytest.raises(ValueError, match="unknown payload kind 1"):
+            read_spectrogram(path)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "bad.spgm").write_bytes(b"NOPE" + bytes(20))

