@@ -5,10 +5,11 @@ For a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources, oracle
 magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 ``stft``, ``istft``, G on one source (``g_operator``) and on the source set
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
-family (sigma 1 where the family has one; the step computes its own G) and
-one 20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its
-losses recorded.  Timings are wall-clock milliseconds from
-``time.perf_counter``: the median of 7 calls per layer, of 3 for the ``run``.
+family (sigma 1 where the family has one; each timed call includes the G
+that ``run`` computes for the step) and one 20-iteration ``run`` of
+``mix_incons_hardmag`` at sigma 1 with its losses recorded.  Timings are
+wall-clock milliseconds from ``time.perf_counter``: the median of 7 calls
+per layer, of 3 for the ``run``.
 
 The results go under ``--label`` in the JSON file ``--out``; other labels
 already in the file are kept, so the same file can hold a before and an
@@ -54,6 +55,11 @@ def median_ms(fn, repeats: int) -> float:
     return round(statistics.median(times) * 1e3, 3)
 
 
+def step_with_g(step, sources, mixture, mags, weights, cfg):
+    """One step at sigma 1, including the G(S) that run computes for it."""
+    return step(sources, mixture, mags, weights, 1.0, projectors.p_cons(sources, cfg))
+
+
 def problem(seconds: float, cfg: spectral.StftConfig):
     clean = synth.speech_like(seconds, SAMPLE_RATE, seed=1)
     noise = synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2)
@@ -72,8 +78,8 @@ def time_clip(seconds: float) -> dict[str, float]:
     n = samples.size
     steps = {  # the weights run would pass: 1/J where the family's row fixes it
         f"step_{family.value}": functools.partial(
-            getattr(algorithms, f"step_{family.value}"), sources, mixture, mags,
-            1.0 / len(mags) if rule.uniform_weights else weights, 1.0, cfg,
+            step_with_g, getattr(algorithms, f"step_{family.value}"), sources, mixture, mags,
+            1.0 / len(mags) if rule.uniform_weights else weights, cfg,
         )
         for family, rule in algorithms.RULES.items()
         if rule.has_step

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .losses import inconsistency, magnitude_mismatch, mixing_error
+# p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
 from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
 from .spectral import StftConfig, g_operator, tf_layout
 
@@ -95,13 +96,11 @@ class AlgorithmSpec:
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
 
     def validation_warnings(self) -> list[str]:
-        rule = RULES[self.family]
-        notes = []
-        if not rule.sigma_enters and self.sigma != 0.0:
-            notes.append(f"sigma is ignored by {self.family.value}")
-        if rule.uniform_weights and self.weight_scheme != "uniform":
-            notes.append(f"{self.family.value} always uses uniform 1/J weights")
-        return notes
+        # The rows with fixed 1/J weights ignore weight_scheme without a note:
+        # the default scheme is magratio, so a note would fire on defaults.
+        if not RULES[self.family].sigma_enters and self.sigma != 0.0:
+            return [f"sigma is ignored by {self.family.value}"]
+        return []
 
 
 @dataclass
@@ -138,9 +137,10 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
 # loop scans the source set again.  Called on their own, the steps check
 # nothing: ``mags`` is trusted to be a J x F x T array >= 0.  ``weights`` is
 # the family's Lambda, a J x F x T array or the scalar 1/J (``run`` passes
-# 1/J to the rows with uniform weights).  A step ignores the arguments its
-# formula does not use.  ``cons`` is ``p_cons(sources, cfg)`` when the
-# caller already has it; by default the step computes it.
+# 1/J to the rows with uniform weights).  ``cons`` is G(S), the consistent
+# image ``p_cons(sources, cfg)``, or None where the formula at this sigma has
+# no G; only ``run`` computes it.  A step ignores the arguments its formula
+# does not use.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
@@ -151,55 +151,49 @@ def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.n
     return y
 
 
-def step_misi(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_misi(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
-    z = p_cons(sources, cfg) if cons is None else cons
-    return _p_mix(_p_mag(z, mags), mixture, weights)
+    return _p_mix(_p_mag(cons, mags), mixture, weights)
 
 
-def step_mix_incons(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_mix_incons(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
         return _p_mix(sources, mixture, weights)
-    z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
-        return z
-    return _blend_in_place(_p_mix(sources, mixture, weights), z, weights, sigma)
+        return cons
+    return _blend_in_place(_p_mix(sources, mixture, weights), cons, weights, sigma)
 
 
-def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """As step_mix_incons but with the target magnitudes imposed exactly."""
     if sigma == 0.0:
         return _p_mag(_p_mix(sources, mixture, weights), mags)
-    z = p_cons(sources, cfg) if cons is None else cons
     if sigma == SIGMA_INF:
         # Per-source Griffin-Lim update, no mixing constraint.
-        return _p_mag(z, mags)
+        return _p_mag(cons, mags)
     y = _p_mix(sources, mixture, weights)
-    y += sigma * weights * z
+    y += sigma * weights * cons
     return _p_mag(y, mags)
 
 
-def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Consistency objective under a hard mixing constraint.
 
     Non-iterative: the correction term is itself consistent, so a second
     application leaves the estimate unchanged.
     """
-    z = p_cons(sources, cfg) if cons is None else cons
-    return _p_mix(z, mixture, weights)
+    return _p_mix(cons, mixture, weights)
 
 
-def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cfg: StftConfig, *, cons=None) -> np.ndarray:
+def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
     if sigma == 0.0:
         w = _p_mag(sources, mags)
+    elif sigma == SIGMA_INF:
+        w = cons
     else:
-        z = p_cons(sources, cfg) if cons is None else cons
-        if sigma == SIGMA_INF:
-            w = z
-        else:
-            w = _blend_in_place(_p_mag(sources, mags), z, 1.0, sigma)
+        w = _blend_in_place(_p_mag(sources, mags), cons, 1.0, sigma)
     return _p_mix(w, mixture, weights)
 
 
@@ -211,7 +205,7 @@ def _checked_inputs(mixture, mags) -> tuple[np.ndarray, np.ndarray]:
     mixture = np.asarray(mixture, dtype=np.complex128)
     mags = np.asarray(mags, dtype=np.float64)
     if mixture.ndim != 2 or mags.ndim != 3 or mags.shape[1:] != mixture.shape:
-        raise ValueError("shape mismatch between mixture and magnitudes")
+        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape}")
     if not np.all(np.isfinite(mixture)):
         raise ValueError("mixture contains non-finite entries")
     if not np.all(np.isfinite(mags)):
@@ -232,13 +226,14 @@ def run(
     """Run an algorithm from the amplitude-mask initialization.
 
     Records all three losses at every iterate (index 0 = initialization).
-    Iterate k's losses are taken at the start of step k+1; when that step
-    applies the consistency projection, its G(S_k) also gives
-    ``inconsistency(S_k)``, so recording costs one extra G per run (at the
-    last iterate) rather than one per iterate.  Batch drivers that only need
-    the estimates pass ``record_losses=False``.  ``on_iterate(k, sources)``
-    is called at the initialization and after every step; it must not
-    mutate its argument.  Deterministic for fixed inputs.
+    ``run`` computes every G itself.  Iterate k's losses are taken at the
+    start of step k+1; when that step applies the consistency projection,
+    its G(S_k) also gives ``inconsistency(S_k)``, so recording costs one
+    extra G per run (at the last iterate) rather than one per iterate.
+    Batch drivers that only need the estimates pass ``record_losses=False``.
+    ``on_iterate(k, sources)`` is called at the initialization and after
+    every step; it must not mutate its argument.  Deterministic for fixed
+    inputs.
 
     The inputs are checked once, here (``ValueError``), and converted to the
     (J, T, F) memory layout.  An iterate or a recorded loss that is not
@@ -255,17 +250,19 @@ def run(
     # Looked up when run is called, not at import, so a wrapped step is used.
     step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
     n_steps = spec.iterations if rule.has_step else 0
-    # run computes G(S_k) for the step, unchecked: every iterate is checked
-    # below, so the step and the loss record can share it.
+    # run is the one caller of G.  It computes G(S_k) unchecked, since every
+    # iterate is checked below, and the step and the loss record share it.
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
     sources = init_amplitude_mask(mixture, mags)
     h, i, m = [], [], []
 
-    def record(current, cons=None):
+    def record(current, cons):
+        if cons is None:
+            cons = g_operator(current, cfg, check_finite=False)
         losses = (
             mixing_error(current, mixture),
-            inconsistency(current, cfg, cons=cons),
+            inconsistency(current, cfg, cons),
             magnitude_mismatch(current, mags),
         )
         if not np.all(np.isfinite(losses)):
@@ -280,14 +277,14 @@ def run(
         cons = g_operator(sources, cfg, check_finite=False) if applies_g else None
         if record_losses:
             record(sources, cons)
-        sources = step(sources, mixture, mags, weights, sigma, cfg, cons=cons)
+        sources = step(sources, mixture, mags, weights, sigma, cons)
         del cons
         if not np.all(np.isfinite(sources)):
             raise FloatingPointError("non-finite estimate produced")
         if on_iterate is not None:
             on_iterate(k, sources)
     if record_losses:
-        record(sources)
+        record(sources, None)
 
     h = np.asarray(h)
     i = np.asarray(i)

@@ -29,7 +29,7 @@ from .signal_io import (
     oracle_magnitudes,
     read_wav,
 )
-from .spectral import istft, stft
+from .spectral import StftConfig, istft, stft
 
 CSV_HEADER = "algorithm,sigma,iterations,isnr_db,degradation,split,item_id,sdr_db,wall_ms"
 
@@ -157,31 +157,23 @@ class ResultTable:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class _AlgoJob:
-    """One algorithm configuration plus which iterates to record."""
-
-    algorithm: str  # name used in result rows
-    family: Family
-    sigma: float
-    iterations: int
-    record_iters: tuple[int, ...]
+# A job is one configuration plus the iterates to record: (spec, record_iters).
+_Job = tuple[AlgorithmSpec, tuple[int, ...]]
 
 
-def _sweep_jobs(cfg: SweepConfig) -> list[_AlgoJob]:
+def _sweep_jobs(cfg: SweepConfig) -> list[_Job]:
     """One job per family and sigma: the grid where sigma enters the update,
     else 0.  A row with a fixed iteration count runs and records that count;
     the others run ``max_iterations`` and record every iterate."""
     jobs = []
     for name in cfg.families:
-        family = Family(name)
-        rule = RULES[family]
+        rule = RULES[Family(name)]
         if rule.fixed_iterations is None:
             iterations, record = cfg.max_iterations, tuple(range(1, cfg.max_iterations + 1))
         else:
             iterations, record = rule.fixed_iterations, (rule.fixed_iterations,)
         for sigma in cfg.sigma_grid if rule.sigma_enters else [0.0]:
-            jobs.append(_AlgoJob(name, family, sigma, iterations, record))
+            jobs.append((AlgorithmSpec(name, sigma, cfg.weight_scheme, iterations), record))
     return jobs
 
 
@@ -193,9 +185,10 @@ class _ItemTask:
     seed: int
     split: str
     item_id: str
-    level: int  # index into degradation_levels
-    cfg: SweepConfig
-    jobs: tuple[_AlgoJob, ...]
+    degradation: float
+    record_timing: bool
+    stft_cfg: StftConfig
+    jobs: tuple[_Job, ...]
 
 
 def _degradation_seed(item_seed: int, level: float) -> tuple[int, int]:
@@ -203,25 +196,17 @@ def _degradation_seed(item_seed: int, level: float) -> tuple[int, int]:
 
 
 def _process_item(task: _ItemTask) -> list[ItemRecord]:
-    cfg = task.cfg
-    level = cfg.degradation_levels[task.level]
+    level, stft_cfg = task.degradation, task.stft_cfg
     clean = read_wav(task.clean_path)
     noise = read_wav(task.noise_path)
     mix = make_mixture(clean, noise, task.isnr_db, task.seed)
-    stft_cfg = load_manifest(Path(cfg.manifest)).stft_config()
     mixture_spec = stft(mix.mixture.samples, stft_cfg)
     mags = oracle_magnitudes([clean, mix.scaled_noise], stft_cfg)
     mags = degrade_magnitudes(mags, level, _degradation_seed(task.seed, level))
 
     records = []
-    for job in task.jobs:
-        spec = AlgorithmSpec(
-            family=job.family,
-            sigma=job.sigma,
-            weight_scheme=cfg.weight_scheme,
-            iterations=job.iterations,
-        )
-        wanted = set(job.record_iters)
+    for spec, record_iters in task.jobs:
+        wanted = set(record_iters)
         per_iter: dict[int, tuple[float, float]] = {}
         # The clock stops while the observer scores an iterate, so wall_ms
         # times the algorithm alone.
@@ -232,7 +217,7 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
             nonlocal paused
             entered = time.perf_counter()
             if k in wanted:
-                elapsed = (entered - start - paused) * 1e3 if cfg.record_timing else 0.0
+                elapsed = (entered - start - paused) * 1e3 if task.record_timing else 0.0
                 est = istft(sources[0], stft_cfg, len(clean))
                 per_iter[k] = (sdr(clean.samples, est), elapsed)
             paused += time.perf_counter() - entered
@@ -242,8 +227,8 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
             value, elapsed = per_iter[k]
             records.append(
                 ItemRecord(
-                    algorithm=job.algorithm,
-                    sigma=job.sigma,
+                    algorithm=spec.family.value,
+                    sigma=spec.sigma,
                     iterations=k,
                     isnr_db=task.isnr_db,
                     degradation=level,
@@ -290,11 +275,12 @@ def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
     return ResultTable(records)
 
 
-def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_AlgoJob]) -> list[_ItemTask]:
+def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_Job]) -> list[_ItemTask]:
     manifest = load_manifest(cfg.manifest)
+    stft_cfg = manifest.stft_config()
     tasks = []
     for item in manifest.split_items(split):
-        for level_idx in range(len(cfg.degradation_levels)):
+        for level in cfg.degradation_levels:
             tasks.append(
                 _ItemTask(
                     clean_path=str(manifest.resolve(item.clean_path)),
@@ -303,8 +289,9 @@ def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_AlgoJob]) -> lis
                     seed=item.seed,
                     split=item.split,
                     item_id=item.clean_path.rsplit(".", 1)[0],
-                    level=level_idx,
-                    cfg=cfg,
+                    degradation=level,
+                    record_timing=cfg.record_timing,
+                    stft_cfg=stft_cfg,
                     jobs=tuple(algo_jobs),
                 )
             )
@@ -342,7 +329,7 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
         if name not in selections:
             raise ValueError(f"no selection for algorithm {name!r}")
         sigma, iters = selections[name]
-        jobs.append(_AlgoJob(name, Family(name), sigma, iters, (iters,)))
+        jobs.append((AlgorithmSpec(name, sigma, cfg.weight_scheme, iters), (iters,)))
     tasks = _build_tasks(cfg, "test", jobs)
     if not tasks:
         raise ValueError("manifest has no test items")

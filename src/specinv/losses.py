@@ -16,7 +16,8 @@ def _sq_dist(a: np.ndarray, b) -> float:
     """||a - b||^2, squaring the difference in place (one temporary).
 
     A complex difference is read as its real and imaginary float parts.
-    Plain sums, not BLAS: see ``metrics.sdr``.
+    Plain sums, not BLAS (``np.linalg.norm`` or a dot): a BLAS call leaves
+    OpenBLAS worker threads spinning on the other cores after it returns.
     """
     d = np.subtract(a, b).ravel(order="K")
     if np.iscomplexobj(d):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .losses import _sq_dist
+
 SDR_CAP_DB = 300.0
 
 
@@ -18,13 +20,10 @@ def sdr(reference: np.ndarray, estimate: np.ndarray) -> float:
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape:
         raise ValueError("length mismatch")
-    # Plain sums, not np.linalg.norm: its BLAS dot leaves OpenBLAS worker
-    # threads spinning on the other cores after every call.
-    ref_norm = np.sqrt(np.sum(reference * reference))
+    ref_norm = np.sqrt(_sq_dist(reference, 0.0))
     if ref_norm == 0:
         raise ValueError("undefined SDR for an all-zero reference")
-    error = reference - estimate
-    err_norm = np.sqrt(np.sum(error * error))
+    err_norm = np.sqrt(_sq_dist(reference, estimate))
     if err_norm == 0:
         return SDR_CAP_DB
     return min(SDR_CAP_DB, 20.0 * np.log10(ref_norm / err_norm))

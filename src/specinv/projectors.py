@@ -45,20 +45,19 @@ def _as_source_set(s) -> np.ndarray:
     return s
 
 
-def weights_magnitude_ratio(mags: np.ndarray, floor: float | None = None) -> np.ndarray:
+def weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
     """Per-bin magnitude-ratio weights V_j / sum_k V_k.
 
-    Bins whose total magnitude is at or below ``floor`` fall back to the
-    uniform 1/J split so the sum-to-one constraint holds everywhere.  The
-    default floor is 1e-12 times the largest magnitude entry.
+    Bins whose total magnitude is at or below a fixed floor, 1e-12 times the
+    largest magnitude entry, fall back to the uniform 1/J split so the
+    sum-to-one constraint holds everywhere.
     """
     mags = np.asarray(mags, dtype=np.float64)
     if mags.ndim != 3:
         raise ValueError("magnitudes must be a J x F x T array")
     if np.any(mags < 0):
         raise ValueError("invalid magnitude")
-    if floor is None:
-        floor = 1e-12 * mags.max() if mags.size else 0.0
+    floor = 1e-12 * mags.max() if mags.size else 0.0
     n_sources = mags.shape[0]
     total = mags.sum(axis=0)
     ok = total > floor

@@ -201,17 +201,17 @@ def test_acceptance_05_special_case_equivalences(report):
         w = weights_magnitude_ratio(mags)
         uni = np.full((2,) + mixture.shape, 1.0 / 2)
         check("mix_incons(0) = mixture projection",
-              step_mix_incons(s, mixture, mags, w, 0.0, SMALL), p_mix(s, mixture, w))
+              step_mix_incons(s, mixture, mags, w, 0.0, None), p_mix(s, mixture, w))
         check("mix_incons(inf) = consistency projection",
-              step_mix_incons(s, mixture, mags, w, SIGMA_INF, SMALL), p_cons(s, SMALL))
+              step_mix_incons(s, mixture, mags, w, SIGMA_INF, p_cons(s, SMALL)), p_cons(s, SMALL))
         check("hardmag(0) = phase update by mixture projection",
-              step_mix_incons_hardmag(s, mixture, mags, w, 0.0, SMALL),
+              step_mix_incons_hardmag(s, mixture, mags, w, 0.0, None),
               p_mag(p_mix(s, mixture, w), mags))
         check("hardmag(inf) = per-source phase-from-magnitude iteration",
-              step_mix_incons_hardmag(s, mixture, mags, w, SIGMA_INF, SMALL),
+              step_mix_incons_hardmag(s, mixture, mags, w, SIGMA_INF, p_cons(s, SMALL)),
               p_mag(p_cons(s, SMALL), mags))
         check("incons_hardmix = mix o cons, uniform",
-              step_incons_hardmix(s, mixture, mags, 0.5, 0.0, SMALL),
+              step_incons_hardmix(s, mixture, mags, 0.5, 0.0, p_cons(s, SMALL)),
               p_mix(p_cons(s, SMALL), mixture, uni))
         # One hard-mixing magnitude step from the amplitude-mask start has a
         # closed form: adjusted magnitudes carrying the mixture's phase.
@@ -219,7 +219,7 @@ def test_acceptance_05_special_case_equivalences(report):
         closed = (mags + 0.5 * (np.abs(mixture) - mags.sum(axis=0))[None]) \
             * unit_phasor(mixture)[None]
         check("mag_incons_hardmix(0), 1 step from mask init",
-              step_mag_incons_hardmix(init, mixture, mags, 0.5, 0.0, SMALL), closed)
+              step_mag_incons_hardmix(init, mixture, mags, 0.5, 0.0, None), closed)
     report(5, ok, "six special-case identities at 1e-12", "; ".join(detail))
 
 
@@ -229,8 +229,8 @@ def test_acceptance_06_hard_mix_step_is_non_iterative(report):
     for _ in range(10):
         mixture, mags = _random_mixture(rng, SMALL, 3000)
         s = _random_sources(rng, SMALL, n_frames=mixture.shape[1])
-        once = step_incons_hardmix(s, mixture, mags, 0.5, 0.0, SMALL)
-        twice = step_incons_hardmix(once, mixture, mags, 0.5, 0.0, SMALL)
+        once = step_incons_hardmix(s, mixture, mags, 0.5, 0.0, p_cons(s, SMALL))
+        twice = step_incons_hardmix(once, mixture, mags, 0.5, 0.0, p_cons(once, SMALL))
         worst = max(worst, np.linalg.norm(twice - once) / np.linalg.norm(once))
     ok = worst < 1e-10
     report(6, ok, "consistency-under-hard-mixing converges in one step",

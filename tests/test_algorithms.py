@@ -66,21 +66,21 @@ class TestSteps:
     def test_misi_output_conservative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
         err = np.linalg.norm(out.sum(axis=0) - mixture)
         assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_misi_moves_from_am_init(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_misi(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
         assert np.linalg.norm(out - sources) > 0
 
     def test_misi_fixed_point(self, small_cfg, rng):
         # A consistent, conservative set matching its own magnitudes.
         signals, specs = random_sources(rng, small_cfg)
         mixture = stft(np.sum(signals, axis=0), small_cfg)
-        out = step_misi(specs, mixture, np.abs(specs), 1 / len(specs), 0.0, small_cfg)
+        out = step_misi(specs, mixture, np.abs(specs), 1 / len(specs), 0.0, p_cons(specs, small_cfg))
         assert np.linalg.norm(out - specs) <= 1e-10 * np.linalg.norm(specs)
 
     def test_blend_toy_example(self):
@@ -94,7 +94,7 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons(sources, mixture, mags, weights, 0.0, small_cfg)
+        out = step_mix_incons(sources, mixture, mags, weights, 0.0, None)
         ref = p_mix(sources, mixture, weights)
         assert np.max(np.abs(out - ref)) <= 1e-15
 
@@ -102,14 +102,14 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons(sources, mixture, mags, weights, SIGMA_INF, small_cfg)
+        out = step_mix_incons(sources, mixture, mags, weights, SIGMA_INF, p_cons(sources, small_cfg))
         assert np.array_equal(out, p_cons(sources, small_cfg))
 
     def test_hardmag_sigma_zero_is_pu_iter(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons_hardmag(sources, mixture, mags, weights, 0.0, small_cfg)
+        out = step_mix_incons_hardmag(sources, mixture, mags, weights, 0.0, None)
         ref = p_mag(p_mix(sources, mixture, weights), mags)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -117,7 +117,7 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
-        out = step_mix_incons_hardmag(sources, mixture, mags, weights, SIGMA_INF, small_cfg)
+        out = step_mix_incons_hardmag(sources, mixture, mags, weights, SIGMA_INF, p_cons(sources, small_cfg))
         ref = p_mag(p_cons(sources, small_cfg), mags)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -126,27 +126,28 @@ class TestSteps:
         sources = init_amplitude_mask(mixture, mags)
         weights = weights_magnitude_ratio(mags)
         for sigma in (0.0, 0.5, 3.0, SIGMA_INF):
-            out = step_mix_incons_hardmag(sources, mixture, mags, weights, sigma, small_cfg)
+            cons = p_cons(sources, small_cfg) if sigma else None
+            out = step_mix_incons_hardmag(sources, mixture, mags, weights, sigma, cons)
             assert np.max(np.abs(np.abs(out) - mags)) < 1e-12
 
     def test_incons_hardmix_conservative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
         err = np.linalg.norm(out.sum(axis=0) - mixture)
         assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_incons_hardmix_non_iterative(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        once = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
-        twice = step_incons_hardmix(once, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        once = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
+        twice = step_incons_hardmix(once, mixture, mags, 1 / len(mags), 0.0, p_cons(once, small_cfg))
         assert np.linalg.norm(twice - once) <= 1e-10 * np.linalg.norm(once)
 
     def test_incons_hardmix_equals_pmix_of_pcons(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
         uni = np.full((2,) + mixture.shape, 1.0 / 2)
         ref = p_mix(p_cons(sources, small_cfg), mixture, uni)
         assert np.array_equal(out, ref)
@@ -155,22 +156,23 @@ class TestSteps:
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
         for sigma in (0.0, 1.0, SIGMA_INF):
-            out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), sigma, small_cfg)
+            cons = p_cons(sources, small_cfg) if sigma else None
+            out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), sigma, cons)
             err = np.linalg.norm(out.sum(axis=0) - mixture)
             assert err <= 1e-10 * np.linalg.norm(mixture)
 
     def test_mag_incons_hardmix_sigma_inf_matches_incons_hardmix(self, small_cfg, rng):
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), SIGMA_INF, small_cfg)
-        ref = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), SIGMA_INF, p_cons(sources, small_cfg))
+        ref = step_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, p_cons(sources, small_cfg))
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_mag_incons_hardmix_sigma_zero_closed_form(self, small_cfg, rng):
         # One step from the AM init equals the mixture-phase closed form.
         mixture, mags = synthetic_problem(rng, small_cfg)
         sources = init_amplitude_mask(mixture, mags)
-        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, small_cfg)
+        out = step_mag_incons_hardmix(sources, mixture, mags, 1 / len(mags), 0.0, None)
         phasor = unit_phasor(mixture)
         closed = (mags + (np.abs(mixture) - mags.sum(axis=0))[None] / 2) * phasor[None]
         assert np.linalg.norm(out - closed) <= 1e-10 * np.linalg.norm(closed)
@@ -209,6 +211,11 @@ class TestSpec:
 
     def test_accepts_string_family(self):
         assert AlgorithmSpec(family="misi").family is Family.MISI
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_default_spec_has_no_warnings(self, family):
+        # The rows with fixed 1/J weights ignore the default magratio scheme silently.
+        assert AlgorithmSpec(family=family).validation_warnings() == []
 
     @pytest.mark.parametrize("kwargs", [{"iterations": 2.5}, {"iterations": True}, {"sigma": "1"}],
                              ids=["float_iterations", "bool_iterations", "str_sigma"])

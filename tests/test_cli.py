@@ -127,6 +127,13 @@ class TestSeparate:
         assert lines[0] == "iteration,h,i,m"
         assert len(lines) == 5  # header + init + 3 iterations
 
+    def test_default_flags_write_no_warning(self, separation_setup, tmp_path, capsys):
+        _, mix_path, mag_paths, _, _ = separation_setup
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *mag_paths,
+                     "--algo", "misi", "--out", str(tmp_path / "sep")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_alias_equivalence_mixture_proj(self, separation_setup, tmp_path):
         _, mix_path, mag_paths, _, _ = separation_setup
         out_a = tmp_path / "a"

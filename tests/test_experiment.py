@@ -139,7 +139,9 @@ def test_default_sweep_jobs():
         *[("mag_incons_hardmix", Family.MAG_INCONS_HARDMIX, s, 20, every) for s in grid],
     ]
     jobs = experiment._sweep_jobs(SweepConfig(manifest="m.json", output_dir="out"))
-    assert [dataclasses.astuple(j) for j in jobs] == want
+    got = [(spec.family.value, spec.family, spec.sigma, spec.iterations, record) for spec, record in jobs]
+    assert got == want
+    assert {spec.weight_scheme for spec, _ in jobs} == {"magratio"}
 
 
 class TestJobs:

@@ -108,6 +108,23 @@ def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_ca
         assert bare.mixing.size == bare.inconsistency.size == bare.magnitude.size == 0
 
 
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_run_is_the_one_caller_of_g(family, monkeypatch):
+    # Only run's own binding of G works; the checked copies in losses and
+    # projectors raise, so run must hand every G to the step and the record.
+    def refuse(*args, **kwargs):
+        raise AssertionError("G computed outside run")
+
+    monkeypatch.setattr(losses, "g_operator", refuse)
+    monkeypatch.setattr(projectors, "g_operator", refuse)
+    cfg = CONFIGS["64/16"]
+    mixture, mags = _problem(cfg, 2)
+    for sigma in (0.0, 1.0, SIGMA_INF):
+        spec = AlgorithmSpec(family=family, sigma=sigma, iterations=3)
+        trace = run(spec, mixture, mags, cfg, record_losses=True)
+        assert trace.inconsistency.size == trace.iterations + 1
+
+
 @pytest.mark.parametrize("n_sources", [1, 2, 3])
 def test_p_cons_is_one_g_call_per_source_set(n_sources, g_calls):
     cfg = CONFIGS["32/8/fft48"]
