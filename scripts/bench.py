@@ -7,9 +7,14 @@ magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
 family (sigma 1 where the family has one; each timed call includes the G
 that ``run`` computes for the step) and one 20-iteration ``run`` of
-``mix_incons_hardmag`` at sigma 1 with its losses recorded.  Timings are
-wall-clock milliseconds from ``time.perf_counter``: the median of 7 calls
-per layer, of 3 for the ``run``.
+``mix_incons_hardmag`` at sigma 1 with its losses recorded.  On the 4 s
+clip it also times a ``run`` of every family as ``specinv separate`` runs
+it (losses recorded, magnitude-ratio weights, sigma 1 where the family has
+one, 20 iterations unless the family fixes the count) and one sweep task:
+``experiment._process_item`` on one item at one degradation level, with the
+default sweep's 30 configurations.  Timings are wall-clock milliseconds
+from ``time.perf_counter``: the median of 7 calls per layer, of 3 for a
+``run`` or a sweep task.
 
 The results go under ``--label`` in the JSON file ``--out``; other labels
 already in the file are kept, so the same file can hold a before and an
@@ -28,6 +33,7 @@ import os
 import platform
 import statistics
 import subprocess
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,14 +41,14 @@ import numpy as np
 import scipy
 
 import specinv
-from specinv import algorithms, projectors, signal_io, spectral, synth
+from specinv import algorithms, experiment, projectors, signal_io, spectral, synth
 from specinv.algorithms import AlgorithmSpec, Family
 
 SAMPLE_RATE = 16000
 DEGRADATION = 0.2
 CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
-RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long
+RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long; a sweep task ~560
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -70,7 +76,33 @@ def problem(seconds: float, cfg: spectral.StftConfig):
     return mix.mixture.samples, mixture, mags
 
 
-def time_clip(seconds: float) -> dict[str, float]:
+def family_runs(mixture, mags, cfg) -> dict:
+    """A ``run`` of each family with its losses, as ``specinv separate`` runs it."""
+    runs = {}
+    for family, rule in algorithms.RULES.items():
+        iterations = 20 if rule.fixed_iterations is None else rule.fixed_iterations
+        spec = AlgorithmSpec(family, 1.0 if rule.sigma_enters else 0.0, "magratio", iterations)
+        runs[f"run_{family.value}_{iterations}"] = functools.partial(
+            algorithms.run, spec, mixture, mags, cfg)
+    return runs
+
+
+def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
+    """One sweep task: one item at one degradation level, all 30 configurations."""
+    clean = synth.speech_like(seconds, SAMPLE_RATE, seed=1)
+    noise = synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2)
+    signal_io.write_wav(root / "clean.wav", clean)
+    signal_io.write_wav(root / "noise.wav", noise)
+    jobs = experiment._sweep_jobs(experiment.SweepConfig(manifest="", output_dir=""))
+    task = experiment._ItemTask(
+        clean_path=str(root / "clean.wav"), noise_path=str(root / "noise.wav"), isnr_db=0.0,
+        seed=3, split="validation", item_id="bench", degradation=DEGRADATION,
+        record_timing=False, stft_cfg=cfg, jobs=tuple(jobs),
+    )
+    return functools.partial(experiment._process_item, task)
+
+
+def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
     cfg = spectral.StftConfig(sample_rate=SAMPLE_RATE)
     samples, mixture, mags = problem(seconds, cfg)
     sources = algorithms.init_amplitude_mask(mixture, mags)
@@ -96,9 +128,12 @@ def time_clip(seconds: float) -> dict[str, float]:
         **steps,
         "run_mix_incons_hardmag_20": lambda: algorithms.run(spec, mixture, mags, cfg),
     }
+    if seconds == CLIPS[0]:
+        layers.update(family_runs(mixture, mags, cfg))
+        layers["sweep_task_30"] = sweep_task(seconds, cfg, tmp)
     out = {"source_shape": list(sources.shape)}
     for name, fn in layers.items():
-        out[f"{name}_ms"] = median_ms(fn, RUN_REPEATS if name.startswith("run_") else REPEATS)
+        out[f"{name}_ms"] = median_ms(fn, RUN_REPEATS if name.startswith(("run_", "sweep_")) else REPEATS)
         print(f"{seconds:g}s {name}: {out[f'{name}_ms']} ms", flush=True)
     return out
 
@@ -128,11 +163,12 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
     parser.add_argument("--label", required=True, help="key for this run in the JSON file")
     args = parser.parse_args()
-    record = {
-        "machine": machine(),
-        "repeats": REPEATS,
-        "clips": {f"{s:g}s": time_clip(s) for s in CLIPS},
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {
+            "machine": machine(),
+            "repeats": REPEATS,
+            "clips": {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS},
+        }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = record
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -10,6 +10,7 @@ floating-point arithmetic with infinity.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +20,7 @@ import numpy as np
 from .losses import inconsistency, magnitude_mismatch, mixing_error
 # p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
 from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
-from .spectral import StftConfig, g_operator, tf_layout
+from .spectral import StftConfig, frame_blocks, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
 __all__ = [
@@ -133,14 +134,34 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
 
 # The steps share one signature, so ``run`` calls every family alike.  They
 # compose the projectors' unchecked kernels: ``run`` validates its inputs
-# once and checks every iterate for non-finite values, so nothing inside its
-# loop scans the source set again.  Called on their own, the steps check
-# nothing: ``mags`` is trusted to be a J x F x T array >= 0.  ``weights`` is
-# the family's Lambda, a J x F x T array or the scalar 1/J (``run`` passes
-# 1/J to the rows with uniform weights).  ``cons`` is G(S), the consistent
-# image ``p_cons(sources, cfg)``, or None where the formula at this sigma has
-# no G; only ``run`` computes it.  A step ignores the arguments its formula
-# does not use.
+# once, and the only scan inside its loop is each step's check of its result
+# for non-finite values.  ``mags`` is trusted to be a J x F x T array >= 0.
+# ``weights`` is the family's Lambda, a J x F x T array or the scalar 1/J
+# (``run`` passes 1/J to the rows with uniform weights).  ``cons`` is G(S),
+# the consistent image ``p_cons(sources, cfg)``, or None where the formula at
+# this sigma has no G; only ``run`` computes it.  A step ignores the
+# arguments its formula does not use.
+
+
+def _blockwise(formula):
+    """The step that applies the bin-by-bin ``formula`` one frame block at a
+    time, bit for bit as on whole arrays.  Each block is checked for
+    non-finite values, then written over the block of ``cons`` that the
+    formula read (or into a new array of ``sources``' layout)."""
+
+    @functools.wraps(formula)
+    def step(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
+        out = np.empty_like(sources, dtype=np.complex128) if cons is None else cons
+        operands = (sources, mixture, mags, weights, cons)
+        for b in frame_blocks(sources.shape):
+            s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in operands)
+            block = formula(s, x, v, w, sigma, z)
+            if not np.all(np.isfinite(block)):
+                raise FloatingPointError("non-finite estimate produced")
+            out[..., b] = block
+        return out
+
+    return step
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
@@ -151,11 +172,13 @@ def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.n
     return y
 
 
+@_blockwise
 def step_misi(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
     return _p_mix(_p_mag(cons, mags), mixture, weights)
 
 
+@_blockwise
 def step_mix_incons(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
@@ -165,6 +188,7 @@ def step_mix_incons(sources, mixture, mags, weights, sigma: float, cons) -> np.n
     return _blend_in_place(_p_mix(sources, mixture, weights), cons, weights, sigma)
 
 
+@_blockwise
 def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """As step_mix_incons but with the target magnitudes imposed exactly."""
     if sigma == 0.0:
@@ -177,6 +201,7 @@ def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cons)
     return _p_mag(y, mags)
 
 
+@_blockwise
 def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Consistency objective under a hard mixing constraint.
 
@@ -186,6 +211,7 @@ def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> 
     return _p_mix(cons, mixture, weights)
 
 
+@_blockwise
 def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
     if sigma == 0.0:
@@ -237,7 +263,13 @@ def run(
 
     The inputs are checked once, here (``ValueError``), and converted to the
     (J, T, F) memory layout.  An iterate or a recorded loss that is not
-    finite raises ``FloatingPointError``.
+    finite raises ``FloatingPointError``; the losses are checked first.
+
+    Apart from G, the steps and the losses act bin by bin, so they run one
+    frame block at a time (``spectral.frame_blocks``: about 512 KiB of the
+    source set, so their temporaries stay in cache).  The estimates are the
+    same bit for bit as on whole arrays.  Each loss is summed pairwise within
+    a block, then the block sums are added in frame order.
     """
     mixture, mags = _checked_inputs(mixture, mags)
     rule = RULES[spec.family]
@@ -251,7 +283,8 @@ def run(
     step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
     n_steps = spec.iterations if rule.has_step else 0
     # run is the one caller of G.  It computes G(S_k) unchecked, since every
-    # iterate is checked below, and the step and the loss record share it.
+    # step checks its result, and the loss record reads it before the step
+    # overwrites it with S_{k+1}.
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
     sources = init_amplitude_mask(mixture, mags)
@@ -278,9 +311,6 @@ def run(
         if record_losses:
             record(sources, cons)
         sources = step(sources, mixture, mags, weights, sigma, cons)
-        del cons
-        if not np.all(np.isfinite(sources)):
-            raise FloatingPointError("non-finite estimate produced")
         if on_iterate is not None:
             on_iterate(k, sources)
     if record_losses:

@@ -123,12 +123,7 @@ def cmd_separate(args) -> int:
     mags = np.array([read_spectrogram(p).T for p in args.mags], dtype=np.float64).transpose(0, 2, 1)
     mixture_spec = stft(mixture.samples, cfg)
     family, sigma, iterations = _resolve_algo(args.algo, args.sigma, args.iters)
-    spec = AlgorithmSpec(
-        family=family,
-        sigma=sigma,
-        weight_scheme=args.weights,
-        iterations=iterations,
-    )
+    spec = AlgorithmSpec(family, sigma, args.weights, iterations)
     trace = algorithms.run(spec, mixture_spec, mags, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,10 @@ def format_sigma(sigma: float) -> str:
 def parse_sigma(text: str) -> float:
     if str(text).strip().lower() == "inf":
         return SIGMA_INF
-    value = float(text)
+    try:
+        value = float(text) if isinstance(text, str) or _is_real(text) else np.nan
+    except ValueError:
+        value = np.nan
     if not np.isfinite(value) or value < 0:
         raise ValueError(f"invalid sigma: {text}")
     return value
@@ -95,7 +98,7 @@ def load_sweep_config(path) -> SweepConfig:
     missing = [key for key in ("manifest", "output_dir") if key not in doc]
     if missing:
         raise ValueError(f"missing config key(s): {', '.join(missing)}")
-    if "sigma_grid" in doc:
+    if isinstance(doc.get("sigma_grid"), list):  # else SweepConfig names the bad value
         doc["sigma_grid"] = [parse_sigma(s) for s in doc["sigma_grid"]]
     base = Path(path).parent
     cfg = SweepConfig(**doc)
@@ -120,15 +123,7 @@ class ItemRecord:
     wall_ms: float
 
     def sort_key(self):
-        return (
-            self.algorithm,
-            self.sigma,
-            self.iterations,
-            self.isnr_db,
-            self.degradation,
-            self.split,
-            self.item_id,
-        )
+        return astuple(self)[:7]  # every field up to item_id
 
     def csv_line(self) -> str:
         return ",".join(

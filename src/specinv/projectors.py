@@ -23,16 +23,17 @@ def unit_phasor(s: np.ndarray) -> np.ndarray:
     """s / |s| with the convention that zero entries map to 1.
 
     One pass over |s|: ``s`` is scaled by 1/|s|, which rounds exactly as
-    numpy's complex-by-real division does, and only the zero bins are
-    patched afterwards.
+    numpy's complex-by-real division does.  Only the bins where 1/|s|
+    overflows, |s| zero or subnormal, are patched afterwards.
     """
     s = np.asarray(s, dtype=np.complex128)
     inv = np.abs(s, out=np.empty_like(s, dtype=np.float64))  # s's layout; an array even at 0-d
-    zero = ~(inv > 0)
-    inv[zero] = 1.0
+    small = ~(inv >= np.finfo(np.float64).tiny)
+    inv[small] = 1.0
     np.reciprocal(inv, out=inv)
-    out = s * inv
-    out[zero] = 1.0
+    out = np.multiply(s, inv, out=np.empty_like(s))
+    lifted = s[small] * 2.0**600  # exact: a subnormal |s| becomes normal
+    out[small] = np.divide(lifted, np.abs(lifted), out=np.ones_like(lifted), where=np.abs(lifted) > 0)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +211,12 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
+        raise ValueError(f"manifest {path} must be a JSON object with an 'items' list")
+    keys = {f.name for f in fields(ManifestItem)}
+    for n, item in enumerate(doc["items"]):
+        if not isinstance(item, dict) or set(item) != keys:
+            raise ValueError(f"manifest item {n} must have exactly the keys {sorted(keys)}: {item!r}")
     items = [ManifestItem(**it) for it in doc["items"]]
     return DatasetManifest(
         items=items,
@@ -226,15 +232,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         "sample_rate": manifest.sample_rate,
         "window_length": manifest.window_length,
         "hop": manifest.hop,
-        "items": [
-            {
-                "clean_path": it.clean_path,
-                "noise_path": it.noise_path,
-                "isnr_db": it.isnr_db,
-                "seed": it.seed,
-                "split": it.split,
-            }
-            for it in manifest.items
-        ],
+        "items": [asdict(it) for it in manifest.items],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -15,6 +15,7 @@ F x T spectrogram and, per source, for a J x F x T source set (memory
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -118,6 +119,17 @@ class TimeSignal:
 def tf_layout(a: np.ndarray) -> np.ndarray:
     """``a`` with its last two axes (F, T) in (T, F) memory; no copy if already so."""
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+# Complex bytes per frame block: the element-wise steps and the losses work
+# one block at a time, so their temporaries stay in a 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def frame_blocks(shape: tuple[int, ...]):
+    """Slices of the frame (last) axis, in order, of ~``_BLOCK_BYTES`` of complex data each."""
+    width = max(1, _BLOCK_BYTES // (16 * max(1, math.prod(shape[:-1]))))
+    return (slice(t, t + width) for t in range(0, shape[-1], width))
 
 
 def _analyze(buf: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:

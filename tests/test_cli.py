@@ -277,6 +277,34 @@ class TestBenchmark:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    ITEM = {"clean_path": "c.wav", "noise_path": "n.wav", "isnr_db": 0.0, "seed": 1,
+            "split": "validation"}
+
+    @pytest.mark.parametrize("manifest, named", [
+        ({"sample_rate": 16000}, "items"),
+        ([ITEM], "items"),
+        ({"items": ["c.wav"]}, "item 0"),
+        ({"items": [ITEM, {**ITEM, "gain": 2.0}]}, "gain"),
+        ({"items": [{k: v for k, v in ITEM.items() if k != "seed"}]}, "seed"),
+    ])
+    def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        doc = {"manifest": "m.json", "output_dir": "out", "sigma_grid": ["0"], "max_iterations": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and named in err
+
+    @pytest.mark.parametrize("grid", [5, [None], "inf", [True], ["x"]])
+    def test_bad_sigma_grid_exit_3(self, tmp_path, capsys, grid):
+        doc = {"manifest": "m.json", "output_dir": str(tmp_path / "out"), "sigma_grid": grid}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
+        assert "sigma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == EXIT_IO
 
