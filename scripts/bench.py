@@ -5,12 +5,15 @@ For a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources, oracle
 magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 ``stft``, ``istft``, G on one source (``g_operator``) and on the source set
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
-family (sigma 1 where the family has one; each timed call includes the G
-that ``run`` computes for the step) and one 20-iteration ``run`` of
-``mix_incons_hardmag`` at sigma 1 with its losses recorded.  On the 4 s
-clip it also times a ``run`` of every family as ``specinv separate`` runs
-it (losses recorded, magnitude-ratio weights, sigma 1 where the family has
-one, 20 iterations unless the family fixes the count) and one sweep task:
+family (sigma 1 where the family has one; each timed call is the step's
+formula on the whole arrays plus the G that ``run`` computes for it; inside
+``run`` the formula runs one frame block at a time) and one 20-iteration
+``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses recorded.  On
+the 4 s clip it also times a ``run`` of every family as ``specinv
+separate`` runs it (losses recorded, magnitude-ratio weights, sigma 1 where
+the family has one, 20 iterations unless the family fixes the count), the
+same ``run`` without its losses (``_nolosses``: the difference is what
+recording the losses costs) and one sweep task:
 ``experiment._process_item`` on one item at one degradation level, with the
 default sweep's 30 configurations.  Timings are wall-clock milliseconds
 from ``time.perf_counter``: the median of 7 calls per layer, of 3 for a
@@ -77,13 +80,14 @@ def problem(seconds: float, cfg: spectral.StftConfig):
 
 
 def family_runs(mixture, mags, cfg) -> dict:
-    """A ``run`` of each family with its losses, as ``specinv separate`` runs it."""
+    """A ``run`` of each family as ``specinv separate`` runs it, with its losses and without."""
     runs = {}
     for family, rule in algorithms.RULES.items():
         iterations = 20 if rule.fixed_iterations is None else rule.fixed_iterations
         spec = AlgorithmSpec(family, 1.0 if rule.sigma_enters else 0.0, "magratio", iterations)
-        runs[f"run_{family.value}_{iterations}"] = functools.partial(
-            algorithms.run, spec, mixture, mags, cfg)
+        name = f"run_{family.value}_{iterations}"
+        runs[name] = functools.partial(algorithms.run, spec, mixture, mags, cfg)
+        runs[f"{name}_nolosses"] = functools.partial(algorithms.run, spec, mixture, mags, cfg, record_losses=False)
     return runs
 
 

@@ -10,7 +10,7 @@ floating-point arithmetic with infinity.
 
 from __future__ import annotations
 
-import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,7 +20,7 @@ import numpy as np
 from .losses import inconsistency, magnitude_mismatch, mixing_error
 # p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
 from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
-from .spectral import StftConfig, frame_blocks, g_operator, tf_layout
+from .spectral import StftConfig, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
 __all__ = [
@@ -132,36 +132,28 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return unit_phasor(mixture)[None] * mags
 
 
+# Complex bytes per frame block: the steps and the losses work one block at
+# a time, so their temporaries stay in a 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def frame_blocks(shape: tuple[int, ...]):
+    """Slices of the frame (last) axis, in order, of ~``_BLOCK_BYTES`` of complex data each."""
+    width = max(1, _BLOCK_BYTES // (16 * max(1, math.prod(shape[:-1]))))
+    return (slice(t, t + width) for t in range(0, shape[-1], width))
+
+
 # The steps share one signature, so ``run`` calls every family alike.  They
-# compose the projectors' unchecked kernels: ``run`` validates its inputs
-# once, and the only scan inside its loop is each step's check of its result
-# for non-finite values.  ``mags`` is trusted to be a J x F x T array >= 0.
-# ``weights`` is the family's Lambda, a J x F x T array or the scalar 1/J
-# (``run`` passes 1/J to the rows with uniform weights).  ``cons`` is G(S),
-# the consistent image ``p_cons(sources, cfg)``, or None where the formula at
-# this sigma has no G; only ``run`` computes it.  A step ignores the
-# arguments its formula does not use.
-
-
-def _blockwise(formula):
-    """The step that applies the bin-by-bin ``formula`` one frame block at a
-    time, bit for bit as on whole arrays.  Each block is checked for
-    non-finite values, then written over the block of ``cons`` that the
-    formula read (or into a new array of ``sources``' layout)."""
-
-    @functools.wraps(formula)
-    def step(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
-        out = np.empty_like(sources, dtype=np.complex128) if cons is None else cons
-        operands = (sources, mixture, mags, weights, cons)
-        for b in frame_blocks(sources.shape):
-            s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in operands)
-            block = formula(s, x, v, w, sigma, z)
-            if not np.all(np.isfinite(block)):
-                raise FloatingPointError("non-finite estimate produced")
-            out[..., b] = block
-        return out
-
-    return step
+# are the paper's formulas, bin by bin, on the projectors' unchecked kernels:
+# ``run`` validates its inputs once and applies a step one frame block at a
+# time (``frame_blocks``), after that block's losses, then checks the
+# block's result for non-finite values and writes it over the block of G.
+# ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
+# the family's Lambda, an array of that shape or the scalar 1/J (``run``
+# passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the
+# consistent image ``p_cons(sources, cfg)``, or None where neither the
+# formula at this sigma nor the loss record needs it; only ``run`` computes
+# it.  A step ignores the arguments its formula does not use.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
@@ -172,13 +164,11 @@ def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.n
     return y
 
 
-@_blockwise
 def step_misi(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """One MISI iteration: P_mix(P_mag(P_cons(S))) with uniform weights."""
     return _p_mix(_p_mag(cons, mags), mixture, weights)
 
 
-@_blockwise
 def step_mix_incons(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Soft mixing + soft consistency: element-wise blend of P_mix and P_cons."""
     if sigma == 0.0:
@@ -188,7 +178,6 @@ def step_mix_incons(sources, mixture, mags, weights, sigma: float, cons) -> np.n
     return _blend_in_place(_p_mix(sources, mixture, weights), cons, weights, sigma)
 
 
-@_blockwise
 def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """As step_mix_incons but with the target magnitudes imposed exactly."""
     if sigma == 0.0:
@@ -201,7 +190,6 @@ def step_mix_incons_hardmag(sources, mixture, mags, weights, sigma: float, cons)
     return _p_mag(y, mags)
 
 
-@_blockwise
 def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Consistency objective under a hard mixing constraint.
 
@@ -211,7 +199,6 @@ def step_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> 
     return _p_mix(cons, mixture, weights)
 
 
-@_blockwise
 def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
     """Magnitude objective + soft consistency under a hard mixing constraint."""
     if sigma == 0.0:
@@ -252,24 +239,27 @@ def run(
     """Run an algorithm from the amplitude-mask initialization.
 
     Records all three losses at every iterate (index 0 = initialization).
-    ``run`` computes every G itself.  Iterate k's losses are taken at the
-    start of step k+1; when that step applies the consistency projection,
-    its G(S_k) also gives ``inconsistency(S_k)``, so recording costs one
-    extra G per run (at the last iterate) rather than one per iterate.
     Batch drivers that only need the estimates pass ``record_losses=False``.
     ``on_iterate(k, sources)`` is called at the initialization and after
     every step; it must not mutate its argument.  Deterministic for fixed
-    inputs.
+    inputs.  The inputs are checked once, here (``ValueError``), and
+    converted to the (J, T, F) memory layout.
 
-    The inputs are checked once, here (``ValueError``), and converted to the
-    (J, T, F) memory layout.  An iterate or a recorded loss that is not
-    finite raises ``FloatingPointError``; the losses are checked first.
+    ``run`` computes every G itself: G(S_k) once per iterate k, where the
+    step or the loss record needs it.  When the step applies the consistency
+    projection, its G(S_k) also gives ``inconsistency(S_k)``, so recording
+    costs one extra G per run (at the last iterate) rather than one per
+    iterate.
 
-    Apart from G, the steps and the losses act bin by bin, so they run one
-    frame block at a time (``spectral.frame_blocks``: about 512 KiB of the
-    source set, so their temporaries stay in cache).  The estimates are the
-    same bit for bit as on whole arrays.  Each loss is summed pairwise within
-    a block, then the block sums are added in frame order.
+    Apart from G, the steps and the losses act bin by bin, so each iterate is
+    one pass over frame blocks (``frame_blocks``: about 512 KiB of the source
+    set, so the temporaries stay in cache).  For each block, in frame order,
+    ``run`` adds the block's three losses of S_k to running sums and checks
+    them, then applies the step to the block, checks the result and writes it
+    over that block of G(S_k), which nothing reads again.  A non-finite loss
+    or iterate raises ``FloatingPointError``.  The estimates are the same bit
+    for bit as on whole arrays; each loss is summed pairwise within a block,
+    then the block sums are added in frame order.
     """
     mixture, mags = _checked_inputs(mixture, mags)
     rule = RULES[spec.family]
@@ -282,43 +272,42 @@ def run(
     # Looked up when run is called, not at import, so a wrapped step is used.
     step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
     n_steps = spec.iterations if rule.has_step else 0
-    # run is the one caller of G.  It computes G(S_k) unchecked, since every
-    # step checks its result, and the loss record reads it before the step
-    # overwrites it with S_{k+1}.
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
     sources = init_amplitude_mask(mixture, mags)
-    h, i, m = [], [], []
-
-    def record(current, cons):
-        if cons is None:
-            cons = g_operator(current, cfg, check_finite=False)
-        losses = (
-            mixing_error(current, mixture),
-            inconsistency(current, cfg, cons),
-            magnitude_mismatch(current, mags),
-        )
-        if not np.all(np.isfinite(losses)):
-            raise FloatingPointError(f"non-finite loss at iterate {len(h)}")
-        for column, value in zip((h, i, m), losses):
-            column.append(value)
-
+    recorded = []  # (mixing, inconsistency, magnitude) of each iterate
     if on_iterate is not None:
         on_iterate(0, sources)
 
-    for k in range(1, n_steps + 1):
-        cons = g_operator(sources, cfg, check_finite=False) if applies_g else None
+    # One pass per step, plus one that only records the last iterate's losses.
+    for k in range(n_steps + record_losses):
+        stepping = k < n_steps
+        # Unchecked: the losses and every block of the step's result are checked instead.
+        cons = g_operator(sources, cfg, check_finite=False) if record_losses or applies_g else None
+        out = np.empty_like(sources) if cons is None else cons
+        sums = [0.0, 0.0, 0.0]
+        for b in frame_blocks(sources.shape):
+            s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
+            if record_losses:
+                sums[0] += mixing_error(s, x)
+                sums[1] += inconsistency(s, cfg, z)
+                sums[2] += magnitude_mismatch(s, v)
+                if not np.all(np.isfinite(sums)):
+                    raise FloatingPointError(f"non-finite loss at iterate {k}")
+            if stepping:
+                block = step(s, x, v, w, sigma, z)
+                if not np.all(np.isfinite(block)):
+                    raise FloatingPointError("non-finite estimate produced")
+                out[..., b] = block
+        s = None  # the last block's view of S_k would keep it alive through the next G
         if record_losses:
-            record(sources, cons)
-        sources = step(sources, mixture, mags, weights, sigma, cons)
-        if on_iterate is not None:
-            on_iterate(k, sources)
-    if record_losses:
-        record(sources, None)
+            recorded.append(sums)
+        if stepping:
+            sources = out
+            if on_iterate is not None:
+                on_iterate(k + 1, sources)
 
-    h = np.asarray(h)
-    i = np.asarray(i)
-    m = np.asarray(m)
+    h, i, m = np.reshape(recorded, (-1, 3)).T.copy()
     combined = None
     if record_losses and rule.combined_with is not None and sigma != SIGMA_INF:
         combined = {"mixing": h, "magnitude": m}[rule.combined_with] + sigma * i

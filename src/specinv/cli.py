@@ -130,11 +130,8 @@ def cmd_separate(args) -> int:
     for j, est in enumerate(trace.estimates, start=1):
         samples = istft(est, cfg, len(mixture))
         write_wav(out / f"est_{j}.wav", TimeSignal(samples, mixture.sample_rate))
-    lines = ["iteration,h,i,m"]
-    for k in range(len(trace.mixing)):
-        lines.append(
-            f"{k},{trace.mixing[k]:.12e},{trace.inconsistency[k]:.12e},{trace.magnitude[k]:.12e}"
-        )
+    losses = zip(trace.mixing, trace.inconsistency, trace.magnitude)
+    lines = ["iteration,h,i,m"] + [f"{k},{h:.12e},{i:.12e},{m:.12e}" for k, (h, i, m) in enumerate(losses)]
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
     for note in trace.warnings:
         print(f"warning: {note}", file=sys.stderr)

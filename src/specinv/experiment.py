@@ -186,10 +186,6 @@ class _ItemTask:
     jobs: tuple[_Job, ...]
 
 
-def _degradation_seed(item_seed: int, level: float) -> tuple[int, int]:
-    return (item_seed, int(round(level * 1e6)))
-
-
 def _process_item(task: _ItemTask) -> list[ItemRecord]:
     level, stft_cfg = task.degradation, task.stft_cfg
     clean = read_wav(task.clean_path)
@@ -197,7 +193,7 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
     mix = make_mixture(clean, noise, task.isnr_db, task.seed)
     mixture_spec = stft(mix.mixture.samples, stft_cfg)
     mags = oracle_magnitudes([clean, mix.scaled_noise], stft_cfg)
-    mags = degrade_magnitudes(mags, level, _degradation_seed(task.seed, level))
+    mags = degrade_magnitudes(mags, level, (task.seed, int(round(level * 1e6))))  # per item and level
 
     records = []
     for spec, record_iters in task.jobs:
@@ -252,19 +248,14 @@ def usable_cpus() -> int:
 
 
 def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
-    records: list[ItemRecord] = []
-    failures: list[str] = []
     workers = min(usable_cpus() if jobs is None else jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_process_item_safe, tasks))
     else:
         results = [_process_item_safe(task) for task in tasks]
-    for result, error in results:
-        if error is not None:
-            failures.append(error)
-        else:
-            records.extend(result)
+    records = [record for result, _ in results for record in result]  # a failed item has none
+    failures = [error for _, error in results if error is not None]
     if failures and not records:
         raise RuntimeError(f"all items failed: {failures}")
     return ResultTable(records)

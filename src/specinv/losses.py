@@ -1,16 +1,15 @@
 """Objective functions: mixing error, inconsistency, magnitude mismatch.
 
-All three are squared Frobenius norms summed in double precision one frame
-block at a time (``spectral.frame_blocks``): pairwise within a block, then
-block by block in frame order.  Only that order depends on the block width;
-on the ``tests/test_blocks.py`` grid the losses agree within 7.5e-16 relative.
+All three are squared Frobenius norms of whole arrays, summed pairwise in
+double precision.  ``algorithms.run`` calls them on one frame block at a
+time and adds the block values in frame order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectral import StftConfig, frame_blocks, g_operator
+from .spectral import StftConfig, g_operator
 
 
 def _sq_dist(a: np.ndarray, b) -> float:
@@ -27,28 +26,22 @@ def _sq_dist(a: np.ndarray, b) -> float:
     return float(np.sum(d))
 
 
-def _blockwise_sum(shape, term) -> float:
-    """The sum of ``term(frames)`` over the frame blocks of ``shape``, in frame order."""
-    total = 0.0
-    for frames in frame_blocks(shape):
-        total += term(frames)
-    return total
-
-
 def mixing_error(sources: np.ndarray, mixture: np.ndarray) -> float:
     """||X - sum_j S_j||^2."""
     sources = np.asarray(sources, dtype=np.complex128)
     mixture = np.asarray(mixture, dtype=np.complex128)
     if sources.ndim != 3 or mixture.shape != sources.shape[1:]:
         raise ValueError("shape mismatch between sources and mixture")
-    return _blockwise_sum(sources.shape, lambda b: _sq_dist(mixture[:, b], sources[..., b].sum(axis=0)))
+    return _sq_dist(mixture, sources.sum(axis=0))
 
 
 def inconsistency(sources: np.ndarray, cfg: StftConfig, cons: np.ndarray | None = None) -> float:
-    """sum_j ||S_j - G(S_j)||^2.
+    """sum_j ||S_j - G(S_j)||^2, in the plain one-sided norm.
 
-    A caller that already holds ``p_cons(sources, cfg)`` passes it as
-    ``cons`` and saves the consistency transforms.
+    G is orthogonal in the bin-weighted norm, oblique in the plain one, so
+    G(S_j) is not the nearest consistent spectrogram in this norm.  A caller
+    that already holds ``p_cons(sources, cfg)`` passes it as ``cons`` and
+    saves the consistency transforms.
     """
     sources = np.asarray(sources, dtype=np.complex128)
     if sources.ndim != 3:
@@ -56,7 +49,7 @@ def inconsistency(sources: np.ndarray, cfg: StftConfig, cons: np.ndarray | None 
     cons = g_operator(sources, cfg) if cons is None else np.asarray(cons, dtype=np.complex128)
     if cons.shape != sources.shape:
         raise ValueError("shape mismatch between sources and their consistent images")
-    return _blockwise_sum(sources.shape, lambda b: _sq_dist(sources[..., b], cons[..., b]))
+    return _sq_dist(sources, cons)
 
 
 def magnitude_mismatch(sources: np.ndarray, mags: np.ndarray) -> float:
@@ -65,4 +58,4 @@ def magnitude_mismatch(sources: np.ndarray, mags: np.ndarray) -> float:
     mags = np.asarray(mags, dtype=np.float64)
     if sources.shape != mags.shape:
         raise ValueError("shape mismatch between sources and magnitudes")
-    return _blockwise_sum(sources.shape, lambda b: _sq_dist(np.abs(sources[..., b]), mags[..., b]))
+    return _sq_dist(np.abs(sources), mags)

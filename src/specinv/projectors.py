@@ -24,16 +24,20 @@ def unit_phasor(s: np.ndarray) -> np.ndarray:
 
     One pass over |s|: ``s`` is scaled by 1/|s|, which rounds exactly as
     numpy's complex-by-real division does.  Only the bins where 1/|s|
-    overflows, |s| zero or subnormal, are patched afterwards.
+    overflows (|s| zero or subnormal) or |s| itself does (a finite ``s``
+    near the float64 limit) are patched afterwards: they are brought into
+    range by an exact power of two, then divided by their modulus.
     """
     s = np.asarray(s, dtype=np.complex128)
     inv = np.abs(s, out=np.empty_like(s, dtype=np.float64))  # s's layout; an array even at 0-d
-    small = ~(inv >= np.finfo(np.float64).tiny)
-    inv[small] = 1.0
+    patch = ~((inv >= np.finfo(np.float64).tiny) & (inv < np.inf))
+    if patch.any():  # rare: only then are the bins indexed
+        scaled = s[patch] * np.where(inv[patch] < 1.0, 2.0**600, 2.0**-600)
+        inv[patch] = 1.0
     np.reciprocal(inv, out=inv)
     out = np.multiply(s, inv, out=np.empty_like(s))
-    lifted = s[small] * 2.0**600  # exact: a subnormal |s| becomes normal
-    out[small] = np.divide(lifted, np.abs(lifted), out=np.ones_like(lifted), where=np.abs(lifted) > 0)
+    if patch.any():
+        out[patch] = np.divide(scaled, np.abs(scaled), out=np.ones_like(scaled), where=np.abs(scaled) > 0)
     return out
 
 

@@ -9,6 +9,7 @@ the one kind), two u32 dimensions, then the row-major float64 payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from .algorithms import _is_int, _is_real
 from .spectral import StftConfig, TimeSignal, stft
 
 SPGM_MAGIC = b"SPGM"
@@ -208,15 +210,33 @@ class DatasetManifest:
         return self.root / rel_path
 
 
+# What each typed manifest value must be, checked where the manifest is read.
+_MANIFEST_VALUES = {
+    **dict.fromkeys(("sample_rate", "window_length", "hop", "seed"), (_is_int, "an integer")),
+    "isnr_db": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    **dict.fromkeys(("clean_path", "noise_path"),
+                    (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
+}
+
+
+def _check_values(where: str, doc: dict) -> None:
+    for key, value in doc.items():
+        valid, what = _MANIFEST_VALUES.get(key, (lambda v: True, ""))
+        if not valid(value):
+            raise ValueError(f"{where}: {key!r} must be {what}, got {value!r}")
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
         raise ValueError(f"manifest {path} must be a JSON object with an 'items' list")
+    _check_values(f"manifest {path}", doc)
     keys = {f.name for f in fields(ManifestItem)}
     for n, item in enumerate(doc["items"]):
         if not isinstance(item, dict) or set(item) != keys:
             raise ValueError(f"manifest item {n} must have exactly the keys {sorted(keys)}: {item!r}")
+        _check_values(f"manifest item {n}", item)
     items = [ManifestItem(**it) for it in doc["items"]]
     return DatasetManifest(
         items=items,

@@ -4,7 +4,9 @@ The forward transform uses a periodic Hann window with centered zero-padding,
 and the inverse is the weighted overlap-add least-squares synthesis (dual
 window = analysis window divided by the squared-window overlap sum).  With
 this pairing, ``g_operator`` (STFT followed by iSTFT) is a projection onto
-the set of consistent spectrograms.
+the set of consistent spectrograms: orthogonal in the bin-weighted norm
+(weight 1 at DC and Nyquist, 2 elsewhere: the two-sided spectrum seen from
+the one-sided one), oblique in the plain one that ``losses.py`` uses.
 
 Memory layout: a spectrogram is logically F x T, and in memory it is
 (T, F), contiguous along the FFT axis.  ``stft`` returns the transposed view
@@ -15,7 +17,6 @@ F x T spectrogram and, per source, for a J x F x T source set (memory
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -52,29 +53,24 @@ class StftConfig:
     hop: int = 256
     sample_rate: int = 16000
 
-    _window: np.ndarray = field(init=False, repr=False, compare=False)
+    window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window_length < 1 or self.hop < 1:
             raise ValueError("window_length and hop must be positive")
         if self.window_length % self.hop != 0:
             raise ValueError("hop must divide window_length")
-        win = hann_periodic(self.window_length)
-        object.__setattr__(self, "_window", win)
+        object.__setattr__(self, "window", hann_periodic(self.window_length))
         self._check_cola()
 
     def _check_cola(self):
         # Overlap-add the squared window over a few periods and require a
         # constant sum on the interior span.
-        acc = _window_sq_sum(self._window, self.hop, 4 * (self.window_length // self.hop))
+        acc = _window_sq_sum(self.window, self.hop, 4 * (self.window_length // self.hop))
         interior = acc[self.pad : acc.size - self.pad]
         ref = interior[0]
         if ref <= 0 or np.max(np.abs(interior - ref)) > 1e-10 * ref:
             raise ValueError("window does not satisfy the COLA condition")
-
-    @property
-    def window(self) -> np.ndarray:
-        return self._window
 
     @property
     def pad(self) -> int:
@@ -119,17 +115,6 @@ class TimeSignal:
 def tf_layout(a: np.ndarray) -> np.ndarray:
     """``a`` with its last two axes (F, T) in (T, F) memory; no copy if already so."""
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-# Complex bytes per frame block: the element-wise steps and the losses work
-# one block at a time, so their temporaries stay in a 2 MiB L2 cache.
-_BLOCK_BYTES = 1 << 19
-
-
-def frame_blocks(shape: tuple[int, ...]):
-    """Slices of the frame (last) axis, in order, of ~``_BLOCK_BYTES`` of complex data each."""
-    width = max(1, _BLOCK_BYTES // (16 * max(1, math.prod(shape[:-1]))))
-    return (slice(t, t + width) for t in range(0, shape[-1], width))
 
 
 def _analyze(buf: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:

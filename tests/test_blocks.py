@@ -1,4 +1,4 @@
-"""Frame blocks: the steps and the losses evaluated one block of frames at a time.
+"""Frame blocks: ``run`` evaluates the losses and the step one block of frames at a time.
 
 Apart from the consistency projection, every update and every loss acts bin
 by bin, so the block width may change the order in which a loss is summed
@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from specinv import algorithms, spectral
-from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
+from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, frame_blocks, run
 from specinv.projectors import p_cons
-from specinv.spectral import StftConfig, frame_blocks, stft, tf_layout
+from specinv.spectral import StftConfig, stft, tf_layout
 
 CFG = StftConfig(window_length=64, hop=16, sample_rate=8000)  # 33 bins
 N_SAMPLES = 600  # 41 frames: the last block of 7 is ragged
@@ -40,7 +40,7 @@ def _bits(a):
 
 def _set_width(monkeypatch, shape, width):
     """Patch the block size so that blocks of ``shape`` are ``width`` frames wide."""
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 16 * int(np.prod(shape[:-1])) * width)
+    monkeypatch.setattr(algorithms, "_BLOCK_BYTES", 16 * int(np.prod(shape[:-1])) * width)
 
 
 def test_width_of_the_benchmark_source_set():
@@ -56,7 +56,7 @@ def test_blocks_cover_every_frame_once_in_order(monkeypatch, shape):
         _set_width(monkeypatch, shape, width)
         frames = [t for b in frame_blocks(shape) for t in range(shape[-1])[b]]
         assert frames == list(range(shape[-1]))
-    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 1)  # below one frame: still one frame
+    monkeypatch.setattr(algorithms, "_BLOCK_BYTES", 1)  # below one frame: still one frame
     assert len(list(frame_blocks(shape))) == shape[-1]
 
 
@@ -83,23 +83,69 @@ def test_blocked_run_matches_one_block(monkeypatch, family, n_sources):
         assert np.array_equal(*estimates)  # C-order and (T, F)-order inputs
 
 
+def _spy_on_g(monkeypatch):
+    """The list of every G array that ``run`` computes from now on."""
+    made = []
+
+    def g_operator(*args, **kwargs):
+        made.append(spectral.g_operator(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(algorithms, "g_operator", g_operator)
+    return made
+
+
 def test_step_writes_its_result_over_cons(monkeypatch):
     mixture, mags = _problem(2)
     _set_width(monkeypatch, mags.shape, 7)
-    sources = algorithms.init_amplitude_mask(mixture, mags)
-    cons = p_cons(sources, CFG)
-    want = algorithms.step_misi.__wrapped__(sources, mixture, mags, 0.5, 0.0, cons.copy())
-    out = algorithms.step_misi(sources, mixture, mags, 0.5, 0.0, cons)
-    assert out is cons and np.array_equal(_bits(out), _bits(want))
-    # Without a G the result is a new array in (J, T, F) memory.
-    fresh = algorithms.step_mix_incons(sources, mixture, mags, 0.5, 0.0, None)
-    assert fresh.transpose(0, 2, 1).flags.c_contiguous and not np.shares_memory(fresh, sources)
+    made = _spy_on_g(monkeypatch)
+    iterates = []
+    run(AlgorithmSpec(Family.MISI, iterations=3), mixture, mags, CFG,
+        on_iterate=lambda k, s: iterates.append((s, s.copy(order="K"))))
+    assert len(made) == 4  # G(S_0), G(S_1), G(S_2), and G(S_3) for the last loss record
+    for k in (1, 2, 3):
+        current, before = iterates[k][0], iterates[k - 1][1]
+        assert current is made[k - 1]
+        want = algorithms.step_misi(before, mixture, mags, 0.5, 0.0, p_cons(before, CFG))
+        assert np.array_equal(_bits(current), _bits(want))
 
 
-def test_step_checks_every_block(monkeypatch):
+def test_sigma_0_row_without_losses_gets_fresh_arrays(monkeypatch):
     mixture, mags = _problem(2)
     _set_width(monkeypatch, mags.shape, 7)
-    sources = algorithms.init_amplitude_mask(mixture, mags)
-    sources[1, 4, -1] = np.nan  # in the last, ragged block
+    made = _spy_on_g(monkeypatch)
+    iterates = []
+    run(AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 3), mixture, mags, CFG,
+        on_iterate=lambda k, s: iterates.append(s), record_losses=False)
+    assert made == []  # the formula at sigma=0 has no G
+    for before, current in zip(iterates, iterates[1:]):
+        assert current.transpose(0, 2, 1).flags.c_contiguous  # (J, T, F) memory
+        assert not np.shares_memory(current, before)
+        want = algorithms.step_mix_incons(before, mixture, mags, 0.5, 0.0, None)
+        assert np.array_equal(_bits(current), _bits(want))
+
+
+def _overflow_in_the_last_frame():
+    """In-phase magnitudes of 1e308 at one bin of the last, ragged block of 7:
+    the initialization is finite, the source sum there overflows."""
+    mixture, mags = _problem(2)
+    mags[:, 4, -1] = 1e308
+    return mixture, mags
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_checks_every_block(monkeypatch):
+    mixture, mags = _overflow_in_the_last_frame()
+    _set_width(monkeypatch, mags.shape, 7)
+    spec = AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 2)
     with pytest.raises(FloatingPointError, match="non-finite estimate produced"):
-        algorithms.step_mix_incons(sources, mixture, mags, 0.5, 0.0, None)
+        run(spec, mixture, mags, CFG, record_losses=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loss_record_checks_every_block(monkeypatch):
+    mixture, mags = _overflow_in_the_last_frame()
+    _set_width(monkeypatch, mags.shape, 7)
+    spec = AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 2)
+    with pytest.raises(FloatingPointError, match="non-finite loss at iterate 0"):
+        run(spec, mixture, mags, CFG)

@@ -286,6 +286,16 @@ class TestBenchmark:
         ({"items": ["c.wav"]}, "item 0"),
         ({"items": [ITEM, {**ITEM, "gain": 2.0}]}, "gain"),
         ({"items": [{k: v for k, v in ITEM.items() if k != "seed"}]}, "seed"),
+        ({"items": [ITEM], "hop": "256"}, "hop"),
+        ({"items": [ITEM], "hop": 256.0}, "hop"),
+        ({"items": [ITEM], "window_length": True}, "window_length"),
+        ({"items": [ITEM], "sample_rate": 16000.0}, "sample_rate"),
+        ({"items": [{**ITEM, "isnr_db": "0"}]}, "isnr_db"),
+        ({"items": [{**ITEM, "isnr_db": float("nan")}]}, "isnr_db"),
+        ({"items": [{**ITEM, "seed": "x"}]}, "seed"),
+        ({"items": [{**ITEM, "seed": 1.0}]}, "seed"),
+        ({"items": [{**ITEM, "clean_path": 3}]}, "clean_path"),
+        ({"items": [{**ITEM, "noise_path": ""}]}, "noise_path"),
     ])
     def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
         (tmp_path / "m.json").write_text(json.dumps(manifest))

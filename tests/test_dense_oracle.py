@@ -146,3 +146,24 @@ def test_p_cons_over_source_set_matches_dense_and_per_source(window, n_sources):
     for j, s in enumerate(sources):
         _assert_close(joint[j], _apply_g(dense, s))
         assert np.array_equal(_bits(joint[j]), _bits(g_operator(s, cfg)))
+
+
+def _real_matrix(cfg, n_frames):
+    """The dense G as a real 2FT x 2FT matrix acting on [Re S; Im S]."""
+    a, inv = _dense_g(cfg, n_frames)
+    c = a @ np.hstack([inv.real, -inv.imag])  # G of each real and each imaginary unit bin
+    return np.vstack([c.real, c.imag])
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_g_is_orthogonal_in_the_bin_weighted_norm_oblique_in_the_plain_one(window):
+    # Self-adjoint in <A, B> = Re sum_k c_k conj(A_k) B_k, with the two-sided
+    # bin weights c_k, and idempotent: the orthogonal projection in that norm.
+    # Not self-adjoint in the plain one-sided Frobenius norm of losses.py.
+    cfg = _cfg(window)
+    n_frames = 6
+    g = _real_matrix(cfg, n_frames)
+    weighted = np.tile(_bin_weights(cfg, n_frames), 2)[:, None] * g
+    assert np.linalg.norm(g @ g - g) <= RTOL * np.linalg.norm(g)
+    assert np.linalg.norm(weighted - weighted.T) <= RTOL * np.linalg.norm(weighted)
+    assert np.linalg.norm(g - g.T) >= 0.05 * np.linalg.norm(g)

@@ -13,7 +13,7 @@ import cmath
 import numpy as np
 import pytest
 
-from specinv.projectors import _p_mag, _p_mix, unit_phasor, weights_magnitude_ratio
+from specinv.projectors import _p_mag, _p_mix, p_mag, unit_phasor, weights_magnitude_ratio
 
 SHAPE = (6, 9)  # F x T
 EPS = np.finfo(np.float64).eps
@@ -88,6 +88,16 @@ def test_unit_phasor_matches_per_bin_loop(rng):
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(np.abs(got), 1.0, rtol=0, atol=2 * EPS)
     assert unit_phasor(0j) == 1.0 and unit_phasor(np.complex128(5e-324)) == pytest.approx(1.0)
+
+
+def test_unit_phasor_where_the_modulus_overflows(rng):
+    # Finite bins whose |s| rounds to inf: 1/|s| would be 0, and so the phasor.
+    huge = np.array([1.5e308 + 1.5e308j, complex(-1.2e308, 1.5e308), complex(0.0, -1.6e308) * (1 + 1j)])
+    ordinary = _complex(rng, (12,))
+    got = unit_phasor(np.concatenate([huge, ordinary]))
+    np.testing.assert_allclose(got[:3], naive_unit_phasor(huge), rtol=0, atol=4 * EPS)
+    assert np.array_equal(got[3:], unit_phasor(ordinary))  # every other bin as before
+    np.testing.assert_allclose(np.abs(p_mag(huge[None, None], np.full((1, 1, 3), 2.0))), 2.0, rtol=4 * EPS)
 
 
 @pytest.mark.parametrize("n_sources", (1, 2, 3))
