@@ -122,11 +122,19 @@ class RunTrace:
 
 
 def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Amplitude-mask estimates: target magnitudes with the mixture's phase."""
+    """Amplitude-mask estimates: target magnitudes with the mixture's phase.
+
+    Checks its inputs (``ValueError``): an F x T mixture, J x F x T
+    magnitudes, finite entries, magnitudes >= 0.
+    """
     mixture = np.asarray(mixture, dtype=np.complex128)
     mags = np.asarray(mags, dtype=np.float64)
     if mags.ndim != 3 or mags.shape[1:] != mixture.shape:
-        raise ValueError("shape mismatch between mixture and magnitudes")
+        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape}")
+    if not np.all(np.isfinite(mixture)):
+        raise ValueError("mixture contains non-finite entries")
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("magnitudes contain non-finite entries")
     if np.any(mags < 0):
         raise ValueError("invalid magnitude")
     return unit_phasor(mixture)[None] * mags
@@ -210,24 +218,6 @@ def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons)
     return _p_mix(w, mixture, weights)
 
 
-def _checked_inputs(mixture, mags) -> tuple[np.ndarray, np.ndarray]:
-    """``run``'s one input check, and the (J, T, F) memory layout.
-
-    An input already in that layout is not copied.
-    """
-    mixture = np.asarray(mixture, dtype=np.complex128)
-    mags = np.asarray(mags, dtype=np.float64)
-    if mixture.ndim != 2 or mags.ndim != 3 or mags.shape[1:] != mixture.shape:
-        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape}")
-    if not np.all(np.isfinite(mixture)):
-        raise ValueError("mixture contains non-finite entries")
-    if not np.all(np.isfinite(mags)):
-        raise ValueError("magnitudes contain non-finite entries")
-    if np.any(mags < 0):
-        raise ValueError("invalid magnitude")
-    return tf_layout(mixture), tf_layout(mags)
-
-
 def run(
     spec: AlgorithmSpec,
     mixture: np.ndarray,
@@ -242,8 +232,8 @@ def run(
     Batch drivers that only need the estimates pass ``record_losses=False``.
     ``on_iterate(k, sources)`` is called at the initialization and after
     every step; it must not mutate its argument.  Deterministic for fixed
-    inputs.  The inputs are checked once, here (``ValueError``), and
-    converted to the (J, T, F) memory layout.
+    inputs.  The inputs are checked once, here (``ValueError``), by
+    ``init_amplitude_mask``, then converted to the (J, T, F) memory layout.
 
     ``run`` computes every G itself: G(S_k) once per iterate k, where the
     step or the loss record needs it.  When the step applies the consistency
@@ -261,7 +251,9 @@ def run(
     for bit as on whole arrays; each loss is summed pairwise within a block,
     then the block sums are added in frame order.
     """
-    mixture, mags = _checked_inputs(mixture, mags)
+    sources = tf_layout(init_amplitude_mask(mixture, mags))  # run's one input check
+    mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
+    mags = tf_layout(np.asarray(mags, dtype=np.float64))
     rule = RULES[spec.family]
     warnings = spec.validation_warnings()
     sigma = spec.sigma
@@ -274,7 +266,6 @@ def run(
     n_steps = spec.iterations if rule.has_step else 0
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
-    sources = init_amplitude_mask(mixture, mags)
     recorded = []  # (mixing, inconsistency, magnitude) of each iterate
     if on_iterate is not None:
         on_iterate(0, sources)

@@ -100,19 +100,15 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
+# Every name --algo takes: each family, with its row's fixed iteration count, and the aliases.
+_ALGOS = {**{f.value: (f, None, RULES[f].fixed_iterations) for f in Family}, **ALGO_ALIASES}
+
+
 def _resolve_algo(name: str, sigma_arg: str, iters: int):
-    if name in ALGO_ALIASES:
-        family, fixed_sigma, fixed_iters = ALGO_ALIASES[name]
-    else:
-        try:
-            family = Family(name)
-        except ValueError:
-            valid = ", ".join(sorted([*ALGO_ALIASES, *(f.value for f in Family)]))
-            raise UsageError(f"unknown algorithm {name!r}; valid names: {valid}") from None
-        fixed_sigma, fixed_iters = None, RULES[family].fixed_iterations
-    sigma = fixed_sigma if fixed_sigma is not None else parse_sigma(sigma_arg)
-    iterations = fixed_iters if fixed_iters is not None else iters
-    return family, sigma, iterations
+    if name not in _ALGOS:
+        raise UsageError(f"unknown algorithm {name!r}; valid names: {', '.join(sorted(_ALGOS))}")
+    family, sigma, iterations = _ALGOS[name]
+    return family, parse_sigma(sigma_arg) if sigma is None else sigma, iters if iterations is None else iterations
 
 
 def cmd_separate(args) -> int:

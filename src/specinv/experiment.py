@@ -197,8 +197,6 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
 
     records = []
     for spec, record_iters in task.jobs:
-        wanted = set(record_iters)
-        per_iter: dict[int, tuple[float, float]] = {}
         # The clock stops while the observer scores an iterate, so wall_ms
         # times the algorithm alone.
         start = time.perf_counter()
@@ -207,28 +205,14 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
         def observe(k, sources):
             nonlocal paused
             entered = time.perf_counter()
-            if k in wanted:
+            if k in record_iters:
                 elapsed = (entered - start - paused) * 1e3 if task.record_timing else 0.0
-                est = istft(sources[0], stft_cfg, len(clean))
-                per_iter[k] = (sdr(clean.samples, est), elapsed)
+                value = sdr(clean.samples, istft(sources[0], stft_cfg, len(clean)))
+                records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level,
+                                          task.split, task.item_id, value, elapsed))
             paused += time.perf_counter() - entered
 
         algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
-        for k in sorted(wanted):
-            value, elapsed = per_iter[k]
-            records.append(
-                ItemRecord(
-                    algorithm=spec.family.value,
-                    sigma=spec.sigma,
-                    iterations=k,
-                    isnr_db=task.isnr_db,
-                    degradation=level,
-                    split=task.split,
-                    item_id=task.item_id,
-                    sdr_db=value,
-                    wall_ms=elapsed,
-                )
-            )
     return records
 
 
@@ -281,15 +265,14 @@ def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_Job]) -> list[_I
                     jobs=tuple(algo_jobs),
                 )
             )
+    if not tasks:
+        raise ValueError(f"manifest has no {split} items")
     return tasks
 
 
-def run_sweep(cfg: SweepConfig, split: str = "validation") -> ResultTable:
-    """Run the full configuration grid on one split of the manifest."""
-    tasks = _build_tasks(cfg, split, _sweep_jobs(cfg))
-    if not tasks:
-        raise ValueError(f"manifest has no items in split {split!r}")
-    return _run_tasks(tasks, cfg.jobs)
+def run_sweep(cfg: SweepConfig) -> ResultTable:
+    """Run the full configuration grid on the validation split of the manifest."""
+    return _run_tasks(_build_tasks(cfg, "validation", _sweep_jobs(cfg)), cfg.jobs)
 
 
 def select_best(table: ResultTable, algorithm: str) -> tuple[float, int]:
@@ -316,17 +299,14 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
             raise ValueError(f"no selection for algorithm {name!r}")
         sigma, iters = selections[name]
         jobs.append((AlgorithmSpec(name, sigma, cfg.weight_scheme, iters), (iters,)))
-    tasks = _build_tasks(cfg, "test", jobs)
-    if not tasks:
-        raise ValueError("manifest has no test items")
-    return _run_tasks(tasks, cfg.jobs)
+    return _run_tasks(_build_tasks(cfg, "test", jobs), cfg.jobs)
 
 
 def run_benchmark(cfg: SweepConfig) -> dict[str, Path]:
     """Full protocol: validation sweep, selection, test evaluation, CSVs."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    validation = run_sweep(cfg, split="validation")
+    validation = run_sweep(cfg)
     selections = {name: select_best(validation, name) for name in cfg.families}
     test = evaluate_test(selections, cfg)
     paths = {

@@ -237,14 +237,8 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(item, dict) or set(item) != keys:
             raise ValueError(f"manifest item {n} must have exactly the keys {sorted(keys)}: {item!r}")
         _check_values(f"manifest item {n}", item)
-    items = [ManifestItem(**it) for it in doc["items"]]
-    return DatasetManifest(
-        items=items,
-        sample_rate=doc.get("sample_rate", 16000),
-        window_length=doc.get("window_length", 1024),
-        hop=doc.get("hop", 256),
-        root=path.parent,
-    )
+    stft_keys = {key: doc[key] for key in ("sample_rate", "window_length", "hop") if key in doc}
+    return DatasetManifest([ManifestItem(**it) for it in doc["items"]], root=path.parent, **stft_keys)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
