@@ -5,12 +5,12 @@ For a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources, oracle
 magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 ``stft``, ``istft``, G on one source (``g_operator``) and on the source set
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
-family (sigma 1 where the family has one; each timed call is the step's
-formula on the whole arrays plus the G that ``run`` computes for it; inside
-``run`` the formula runs one frame block at a time) and one 20-iteration
-``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses recorded.  On
-the 4 s clip it also times a ``run`` of every family as ``specinv
-separate`` runs it (losses recorded, magnitude-ratio weights, sigma 1 where
+family (sigma 1 where the family has one; each timed call is one pass of
+``run``'s block loop without losses: G(S) once, then for each frame block
+the step, its finiteness check and its write over that block of G) and one
+20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses
+recorded.  On the 4 s clip it also times a ``run`` of every family as
+``specinv separate`` runs it (losses recorded, magnitude-ratio weights, sigma 1 where
 the family has one, 20 iterations unless the family fixes the count), the
 same ``run`` without its losses (``_nolosses``: the difference is what
 recording the losses costs) and one sweep task:
@@ -64,9 +64,16 @@ def median_ms(fn, repeats: int) -> float:
     return round(statistics.median(times) * 1e3, 3)
 
 
-def step_with_g(step, sources, mixture, mags, weights, cfg):
-    """One step at sigma 1, including the G(S) that run computes for it."""
-    return step(sources, mixture, mags, weights, 1.0, projectors.p_cons(sources, cfg))
+def blocked_step(step, sources, mixture, mags, weights, cfg):
+    """One step at sigma 1 as ``run`` applies it: G(S), then the step block by block, written over G."""
+    cons = spectral.g_operator(sources, cfg, check_finite=False)
+    for b in algorithms.frame_blocks(sources.shape):
+        s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
+        block = step(s, x, v, w, 1.0, z)
+        if not np.all(np.isfinite(block)):
+            raise FloatingPointError("non-finite estimate produced")
+        cons[..., b] = block
+    return cons
 
 
 def problem(seconds: float, cfg: spectral.StftConfig):
@@ -114,7 +121,7 @@ def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
     n = samples.size
     steps = {  # the weights run would pass: 1/J where the family's row fixes it
         f"step_{family.value}": functools.partial(
-            step_with_g, getattr(algorithms, f"step_{family.value}"), sources, mixture, mags,
+            blocked_step, getattr(algorithms, f"step_{family.value}"), sources, mixture, mags,
             1.0 / len(mags) if rule.uniform_weights else weights, cfg,
         )
         for family, rule in algorithms.RULES.items()

@@ -125,12 +125,12 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Amplitude-mask estimates: target magnitudes with the mixture's phase.
 
     Checks its inputs (``ValueError``): an F x T mixture, J x F x T
-    magnitudes, finite entries, magnitudes >= 0.
+    magnitudes with J >= 1, finite entries, magnitudes >= 0.
     """
     mixture = np.asarray(mixture, dtype=np.complex128)
     mags = np.asarray(mags, dtype=np.float64)
-    if mags.ndim != 3 or mags.shape[1:] != mixture.shape:
-        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape}")
+    if mags.ndim != 3 or mags.shape[1:] != mixture.shape or mags.shape[0] < 1:
+        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape} (J >= 1)")
     if not np.all(np.isfinite(mixture)):
         raise ValueError("mixture contains non-finite entries")
     if not np.all(np.isfinite(mags)):
@@ -232,8 +232,9 @@ def run(
     Batch drivers that only need the estimates pass ``record_losses=False``.
     ``on_iterate(k, sources)`` is called at the initialization and after
     every step; it must not mutate its argument.  Deterministic for fixed
-    inputs.  The inputs are checked once, here (``ValueError``), by
-    ``init_amplitude_mask``, then converted to the (J, T, F) memory layout.
+    inputs.  The inputs are checked once, here (``ValueError``): by
+    ``init_amplitude_mask``, then the mixture's bins and frames against
+    ``cfg``.  They are then converted to the (J, T, F) memory layout.
 
     ``run`` computes every G itself: G(S_k) once per iterate k, where the
     step or the loss record needs it.  When the step applies the consistency
@@ -251,9 +252,11 @@ def run(
     for bit as on whole arrays; each loss is summed pairwise within a block,
     then the block sums are added in frame order.
     """
-    sources = tf_layout(init_amplitude_mask(mixture, mags))  # run's one input check
+    sources = tf_layout(init_amplitude_mask(mixture, mags))  # the checks of the arrays alone
     mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
     mags = tf_layout(np.asarray(mags, dtype=np.float64))
+    if mixture.shape[0] != cfg.n_bins or cfg.max_samples(mixture.shape[1]) < 1:
+        raise ValueError(f"mixture {mixture.shape} needs {cfg.n_bins} bins and >= {cfg.num_frames(1)} frames")
     rule = RULES[spec.family]
     warnings = spec.validation_warnings()
     sigma = spec.sigma

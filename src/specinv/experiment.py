@@ -190,6 +190,8 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
     level, stft_cfg = task.degradation, task.stft_cfg
     clean = read_wav(task.clean_path)
     noise = read_wav(task.noise_path)
+    if clean.sample_rate != stft_cfg.sample_rate:
+        raise ValueError(f"WAV rate {clean.sample_rate} Hz differs from the manifest's {stft_cfg.sample_rate} Hz")
     mix = make_mixture(clean, noise, task.isnr_db, task.seed)
     mixture_spec = stft(mix.mixture.samples, stft_cfg)
     mags = oracle_magnitudes([clean, mix.scaled_noise], stft_cfg)
@@ -304,6 +306,7 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
 
 def run_benchmark(cfg: SweepConfig) -> dict[str, Path]:
     """Full protocol: validation sweep, selection, test evaluation, CSVs."""
+    _build_tasks(cfg, "test", [])  # an empty test split fails here, not after the sweep
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     validation = run_sweep(cfg)

@@ -108,11 +108,21 @@ class MixtureResult:
     achieved_isnr_db: float
 
 
+def _noise_gain(p_clean: float, p_noise: float, isnr_db: float) -> float | None:
+    """Gain putting noise of power ``p_noise`` ``isnr_db`` below ``p_clean``; None unless finite and > 0."""
+    try:
+        gain = float(np.sqrt(p_clean / (p_noise * 10.0 ** (isnr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return gain if 0 < gain < math.inf else None
+
+
 def make_mixture(clean: TimeSignal, noise: TimeSignal, isnr_db: float, seed: int) -> MixtureResult:
     """Mix clean speech with a randomly cropped, rescaled noise excerpt.
 
     The noise gain is chosen so the achieved input SNR equals the target
-    exactly (power ratio of clean to scaled noise).
+    exactly (power ratio of clean to scaled noise); it must come out finite
+    and > 0 (``ValueError``).
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rate mismatch between clean and noise")
@@ -125,7 +135,9 @@ def make_mixture(clean: TimeSignal, noise: TimeSignal, isnr_db: float, seed: int
     p_noise = float(np.mean(crop**2))
     if p_noise == 0:
         raise ValueError("zero-power noise crop")
-    gain = float(np.sqrt(p_clean / (p_noise * 10.0 ** (isnr_db / 10.0))))
+    gain = _noise_gain(p_clean, p_noise, isnr_db)
+    if gain is None:
+        raise ValueError(f"isnr_db {isnr_db!r} gives no finite noise gain > 0 at clean power {p_clean:g}")
     scaled = gain * crop
     achieved = 10.0 * np.log10(p_clean / float(np.mean(scaled**2)))
     return MixtureResult(
@@ -197,11 +209,7 @@ class DatasetManifest:
     root: Path = field(default_factory=Path)
 
     def stft_config(self) -> StftConfig:
-        return StftConfig(
-            window_length=self.window_length,
-            hop=self.hop,
-            sample_rate=self.sample_rate,
-        )
+        return StftConfig(self.window_length, self.hop, self.sample_rate)
 
     def split_items(self, split: str) -> list[ManifestItem]:
         return [it for it in self.items if it.split == split]
@@ -213,7 +221,8 @@ class DatasetManifest:
 # What each typed manifest value must be, checked where the manifest is read.
 _MANIFEST_VALUES = {
     **dict.fromkeys(("sample_rate", "window_length", "hop", "seed"), (_is_int, "an integer")),
-    "isnr_db": (lambda v: _is_real(v) and math.isfinite(v), "a finite number"),
+    "isnr_db": (lambda v: _is_real(v) and _noise_gain(1.0, 1.0, v) is not None,  # as make_mixture, at unit powers
+                "a number whose noise gain 10^(-isnr_db/20) is finite and > 0"),
     **dict.fromkeys(("clean_path", "noise_path"),
                     (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
 }

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -337,7 +339,10 @@ class TestRun:
     @pytest.mark.parametrize(
         ("bad", "message"),
         [("nan_mixture", "mixture contains non-finite"), ("inf_mags", "magnitudes contain non-finite"),
-         ("negative_mags", "invalid magnitude"), ("shape", "shape mismatch")],
+         ("negative_mags", "invalid magnitude"), ("shape", "shape mismatch"),
+         ("no_sources", "shape mismatch: magnitudes (0, 33,"),
+         ("zero_frames", "mixture (33, 0) needs 33 bins"),
+         ("extra_bin", "mixture (34, 53) needs 33 bins")],
     )
     def test_inputs_checked_once_at_entry(self, small_cfg, rng, bad, message):
         mixture, mags = synthetic_problem(rng, small_cfg)
@@ -347,9 +352,17 @@ class TestRun:
             mags[1, 2, 3] = np.inf
         elif bad == "negative_mags":
             mags[0, 2, 3] = -1.0
-        else:
+        elif bad == "shape":
             mags = mags[:, :-1]
-        for record in (True, False):
-            with pytest.raises(ValueError, match=message):
-                run(AlgorithmSpec(family=Family.MISI, iterations=2), mixture, mags, small_cfg,
-                    record_losses=record)
+        elif bad == "no_sources":
+            mags = mags[:0]
+        elif bad == "zero_frames":
+            mixture, mags = mixture[:, :0], mags[:, :, :0]
+        else:  # one bin more than the STFT config has, in both inputs
+            mixture, mags = np.vstack([mixture, mixture[-1:]]), np.concatenate([mags, mags[:, -1:]], axis=1)
+        for family in Family:
+            for sigma in (0.0, 1.0):
+                for record in (True, False):
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        run(AlgorithmSpec(family, sigma, iterations=2), mixture, mags, small_cfg,
+                            record_losses=record)

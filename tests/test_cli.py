@@ -55,6 +55,22 @@ class TestMix:
                      "--isnr", "0", "--out", str(tmp_path / "out")])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "inf", "-inf", "nan"])
+    def test_isnr_without_finite_gain_exit_3(self, audio_pair, tmp_path, capsys, value):
+        # 10^(isnr/10) overflows, underflows or is not a number: no noise gain.
+        clean, noise = audio_pair
+        code = main(["mix", "--clean", str(clean), "--noise", str(noise),
+                     f"--isnr={value}", "--out", str(tmp_path / "mix")])
+        assert code == EXIT_USAGE
+        assert f"isnr_db {float(value)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["400", "-400"])
+    def test_extreme_finite_isnr_mixes(self, audio_pair, tmp_path, value):
+        clean, noise = audio_pair
+        code = main(["mix", "--clean", str(clean), "--noise", str(noise),
+                     f"--isnr={value}", "--out", str(tmp_path / "mix")])
+        assert code == EXIT_OK
+
     def test_same_seed_identical_outputs(self, audio_pair, tmp_path):
         clean, noise = audio_pair
         outs = []
@@ -296,6 +312,7 @@ class TestBenchmark:
         ({"items": [{**ITEM, "seed": 1.0}]}, "seed"),
         ({"items": [{**ITEM, "clean_path": 3}]}, "clean_path"),
         ({"items": [{**ITEM, "noise_path": ""}]}, "noise_path"),
+        ({"items": [{**ITEM, "isnr_db": 1e308}]}, "isnr_db"),
     ])
     def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
         (tmp_path / "m.json").write_text(json.dumps(manifest))
@@ -314,6 +331,18 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
         assert "sigma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_manifest_rate_unlike_its_wavs_exit_2(self, tmp_path, capsys):
+        manifest = generate_dataset(tmp_path / "data", n_validation=1, n_test=1,
+                                    seed=3, duration=0.4, noise_duration=0.6)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "sample_rate": 8000}))  # the WAVs are 16 kHz
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out"),
+                                        "sigma_grid": ["0"], "max_iterations": 1, "jobs": 1}))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "16000" in err and "8000" in err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == EXIT_IO

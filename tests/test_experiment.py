@@ -43,6 +43,18 @@ def tiny_config(tiny_dataset, tmp_path):
     )
 
 
+def _without_split(cfg, tmp_path, split):
+    """``cfg`` over a copy of its manifest without the ``split`` items (item paths made absolute)."""
+    root = os.path.dirname(cfg.manifest)
+    doc = json.loads(open(cfg.manifest).read())
+    doc["items"] = [{**it, "clean_path": os.path.join(root, it["clean_path"]),
+                     "noise_path": os.path.join(root, it["noise_path"])}
+                    for it in doc["items"] if it["split"] != split]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return dataclasses.replace(cfg, manifest=str(path))
+
+
 def _rec(algorithm="misi", sigma=0.0, iterations=1, sdr_db=10.0, item_id="a", split="validation"):
     return ItemRecord(algorithm, sigma, iterations, 0.0, 0.0, split, item_id, sdr_db, 0.0)
 
@@ -184,6 +196,24 @@ class TestBenchmark:
         p2 = run_benchmark(tiny_config)
         assert p2["validation"].read_bytes() == v1
         assert p2["test"].read_bytes() == t1
+
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_empty_split_rejected_by_its_phase(self, tiny_config, tmp_path, split):
+        cfg = _without_split(tiny_config, tmp_path, split)
+        with pytest.raises(ValueError, match=f"manifest has no {split} items"):
+            if split == "validation":
+                run_sweep(cfg)
+            else:
+                evaluate_test({name: (0.0, 1) for name in cfg.families}, cfg)
+
+    def test_empty_test_split_fails_before_the_sweep(self, tiny_config, tmp_path, monkeypatch):
+        cfg = dataclasses.replace(_without_split(tiny_config, tmp_path, "test"), jobs=1)
+        def no_run(*args, **kwargs):
+            raise AssertionError("algorithms.run was called")
+
+        monkeypatch.setattr(algorithms, "run", no_run)
+        with pytest.raises(ValueError, match="manifest has no test items"):
+            run_benchmark(cfg)
 
     def test_evaluate_test_requires_all_selections(self, tiny_config):
         with pytest.raises(ValueError, match="selection"):
