@@ -10,10 +10,10 @@ family (sigma 1 where the family has one; each timed call is one pass of
 the step, its finiteness check and its write over that block of G) and one
 20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses
 recorded.  On the 4 s clip it also times a ``run`` of every family as
-``specinv separate`` runs it (losses recorded, magnitude-ratio weights, sigma 1 where
-the family has one, 20 iterations unless the family fixes the count), the
-same ``run`` without its losses (``_nolosses``: the difference is what
-recording the losses costs) and one sweep task:
+``specinv separate`` runs it (losses recorded, magnitude-ratio weights,
+sigma 1 where the family has one, 20 iterations unless the family fixes
+the count), the same ``run`` without its losses (``_nolosses``: the
+difference is what recording the losses costs) and one sweep task:
 ``experiment._process_item`` on one item at one degradation level, with the
 default sweep's 30 configurations.  Timings are wall-clock milliseconds
 from ``time.perf_counter``: the median of 7 calls per layer, of 3 for a

@@ -252,7 +252,7 @@ def run(
     for bit as on whole arrays; each loss is summed pairwise within a block,
     then the block sums are added in frame order.
     """
-    sources = tf_layout(init_amplitude_mask(mixture, mags))  # the checks of the arrays alone
+    sources = tf_layout(init_amplitude_mask(mixture, mags))  # checks the arrays; their fit to cfg below
     mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
     mags = tf_layout(np.asarray(mags, dtype=np.float64))
     if mixture.shape[0] != cfg.n_bins or cfg.max_samples(mixture.shape[1]) < 1:

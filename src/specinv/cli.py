@@ -27,14 +27,15 @@ EXIT_IO = 2
 EXIT_USAGE = 3
 EXIT_NUMERIC = 4
 
-# --algo takes a family name or one of these named special cases:
-# (family, fixed sigma, fixed iterations or None).
+# --algo takes a family name, with its row's fixed iteration count, or one of
+# these named special cases: (family, fixed sigma, fixed iterations or None).
 ALGO_ALIASES = {
     "mixture_proj": (Family.MIX_INCONS, 0.0, 1),
     "stft_proj": (Family.MIX_INCONS, SIGMA_INF, 1),
     "pu_iter": (Family.MIX_INCONS_HARDMAG, 0.0, None),
     "griffin_lim": (Family.MIX_INCONS_HARDMAG, SIGMA_INF, None),
 }
+_ALGOS = {**{f.value: (f, None, RULES[f].fixed_iterations) for f in Family}, **ALGO_ALIASES}
 
 
 class UsageError(Exception):
@@ -100,15 +101,12 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
-# Every name --algo takes: each family, with its row's fixed iteration count, and the aliases.
-_ALGOS = {**{f.value: (f, None, RULES[f].fixed_iterations) for f in Family}, **ALGO_ALIASES}
-
-
 def _resolve_algo(name: str, sigma_arg: str, iters: int):
     if name not in _ALGOS:
         raise UsageError(f"unknown algorithm {name!r}; valid names: {', '.join(sorted(_ALGOS))}")
     family, sigma, iterations = _ALGOS[name]
-    return family, parse_sigma(sigma_arg) if sigma is None else sigma, iters if iterations is None else iterations
+    sigma = parse_sigma(sigma_arg) if sigma is None else sigma
+    return family, sigma, iters if iterations is None else iterations
 
 
 def cmd_separate(args) -> int:

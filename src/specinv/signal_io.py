@@ -120,9 +120,8 @@ def _noise_gain(p_clean: float, p_noise: float, isnr_db: float) -> float | None:
 def make_mixture(clean: TimeSignal, noise: TimeSignal, isnr_db: float, seed: int) -> MixtureResult:
     """Mix clean speech with a randomly cropped, rescaled noise excerpt.
 
-    The noise gain is chosen so the achieved input SNR equals the target
-    exactly (power ratio of clean to scaled noise); it must come out finite
-    and > 0 (``ValueError``).
+    The noise gain sets the achieved input SNR (clean to scaled noise power)
+    to the target exactly; it must come out finite and > 0 (``ValueError``).
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rate mismatch between clean and noise")
@@ -209,7 +208,11 @@ class DatasetManifest:
     root: Path = field(default_factory=Path)
 
     def stft_config(self) -> StftConfig:
-        return StftConfig(self.window_length, self.hop, self.sample_rate)
+        return StftConfig(
+            window_length=self.window_length,
+            hop=self.hop,
+            sample_rate=self.sample_rate,
+        )
 
     def split_items(self, split: str) -> list[ManifestItem]:
         return [it for it in self.items if it.split == split]
