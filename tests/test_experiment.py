@@ -46,7 +46,8 @@ def tiny_config(tiny_dataset, tmp_path):
 def _without_split(cfg, tmp_path, split):
     """``cfg`` over a copy of its manifest without the ``split`` items (item paths made absolute)."""
     root = os.path.dirname(cfg.manifest)
-    doc = json.loads(open(cfg.manifest).read())
+    with open(cfg.manifest) as fh:
+        doc = json.load(fh)
     doc["items"] = [{**it, "clean_path": os.path.join(root, it["clean_path"]),
                      "noise_path": os.path.join(root, it["noise_path"])}
                     for it in doc["items"] if it["split"] != split]
