@@ -25,6 +25,19 @@ after run.  Time another checkout by putting its ``src`` first on
 ``PYTHONPATH``.
 
     PYTHONPATH=src python3 scripts/bench.py --label after --out BENCH.json
+
+With ``--baseline REV`` the script compares the commit REV with the working
+tree instead.  It exports REV with ``git archive`` into a temporary
+directory and times each row (or each row matching ``--rows``, a regular
+expression over names such as ``4s/sweep_task_30``) in fresh
+subprocesses, baseline and working tree alternately, for ``--pairs``
+pairs; which side goes first alternates from pair to pair and row to row.
+Both sides run this file, each importing its own ``src``.  Each row reports
+both medians, the median of the per-pair ratios working tree / baseline,
+and in how many pairs the working tree was faster.  Run with REV = HEAD on
+a clean tree, it measures the spread between two runs of the same code.
+
+    PYTHONPATH=src python3 scripts/bench.py --label aa --out BENCH.json --baseline HEAD --pairs 5
 """
 
 from __future__ import annotations
@@ -34,8 +47,10 @@ import functools
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -52,6 +67,9 @@ DEGRADATION = 0.2
 CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
 RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long; a sweep task ~560
+ROOT = Path(__file__).resolve().parent.parent
+# run's per-block finiteness check; a checkout older than it used this one.
+_all_finite = getattr(algorithms, "_all_finite", lambda block: np.all(np.isfinite(block)))
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -70,7 +88,7 @@ def blocked_step(step, sources, mixture, mags, weights, cfg):
     for b in algorithms.frame_blocks(sources.shape):
         s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
         block = step(s, x, v, w, 1.0, z)
-        if not np.all(np.isfinite(block)):
+        if not _all_finite(block):
             raise FloatingPointError("non-finite estimate produced")
         cons[..., b] = block
     return cons
@@ -113,7 +131,8 @@ def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
     return functools.partial(experiment._process_item, task)
 
 
-def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
+def clip_rows(seconds: float, tmp: Path):
+    """The rows of one clip, name -> call, and the shape of its source set."""
     cfg = spectral.StftConfig(sample_rate=SAMPLE_RATE)
     samples, mixture, mags = problem(seconds, cfg)
     sources = algorithms.init_amplitude_mask(mixture, mags)
@@ -142,11 +161,65 @@ def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
     if seconds == CLIPS[0]:
         layers.update(family_runs(mixture, mags, cfg))
         layers["sweep_task_30"] = sweep_task(seconds, cfg, tmp)
-    out = {"source_shape": list(sources.shape)}
+    return layers, sources.shape
+
+
+def time_row(name: str, fn) -> float:
+    return median_ms(fn, RUN_REPEATS if name.startswith(("run_", "sweep_")) else REPEATS)
+
+
+def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
+    layers, shape = clip_rows(seconds, tmp)
+    out = {"source_shape": list(shape)}
     for name, fn in layers.items():
-        out[f"{name}_ms"] = median_ms(fn, RUN_REPEATS if name.startswith(("run_", "sweep_")) else REPEATS)
+        out[f"{name}_ms"] = time_row(name, fn)
         print(f"{seconds:g}s {name}: {out[f'{name}_ms']} ms", flush=True)
     return out
+
+
+def row_names(tmp: Path) -> list[str]:
+    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)[0]]
+
+
+def time_in_subprocess(src: Path, row: str) -> float:
+    """Median ms of ``row`` in a fresh interpreter that imports specinv from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, __file__, "--row", row], env=env, capture_output=True, text=True,
+                          check=True)
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def compare(rev: str, pairs: int, pattern: str, tmp: Path) -> dict[str, object]:
+    """Interleaved baseline/working-tree timings of every row matching ``pattern``."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    base = tmp / "baseline"
+    base.mkdir()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+    sides = {"baseline": base / "src", "change": ROOT / "src"}
+    rows = [r for r in row_names(tmp) if re.search(pattern, r)]
+    times = {r: {side: [] for side in sides} for r in rows}
+    for i in range(pairs):
+        for j, row in enumerate(rows):
+            order = list(sides) if (i + j) % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                times[row][side].append(time_in_subprocess(sides[side], row))
+            t = times[row]
+            print(f"pair {i + 1}/{pairs} {row}: baseline {t['baseline'][-1]} ms, change {t['change'][-1]} ms",
+                  flush=True)
+    report = {}
+    for row, t in times.items():
+        ratios = [c / b for b, c in zip(t["baseline"], t["change"])]
+        report[row] = {
+            "baseline_median_ms": round(statistics.median(t["baseline"]), 3),
+            "change_median_ms": round(statistics.median(t["change"]), 3),
+            "median_ratio": round(statistics.median(ratios), 4),
+            "change_wins": sum(c < b for b, c in zip(t["baseline"], t["change"])),
+            "baseline_ms": t["baseline"],
+            "change_ms": t["change"],
+        }
+    return {"baseline": {"rev": rev, "sha": sha}, "pairs": pairs, "rows": report}
 
 
 def machine() -> dict[str, object]:
@@ -171,15 +244,26 @@ def machine() -> dict[str, object]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write or update")
-    parser.add_argument("--label", required=True, help="key for this run in the JSON file")
+    parser.add_argument("--out", type=Path, help="JSON file to write or update")
+    parser.add_argument("--label", help="key for this run in the JSON file")
+    parser.add_argument("--baseline", metavar="REV", help="compare commit REV with the working tree")
+    parser.add_argument("--pairs", type=int, default=5, help="baseline/working-tree pairs per row (default 5)")
+    parser.add_argument("--rows", default="", help="regular expression selecting rows, e.g. '4s/run_'")
+    parser.add_argument("--row", help=argparse.SUPPRESS)  # internal: time one row, print its ms
     args = parser.parse_args()
+    if args.row is not None:
+        clip, name = args.row.split("/", 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            print(time_row(name, clip_rows(float(clip[:-1]), Path(tmp))[0][name]))
+        return
+    if args.out is None or args.label is None:
+        parser.error("--out and --label are required")
     with tempfile.TemporaryDirectory() as tmp:
-        record = {
-            "machine": machine(),
-            "repeats": REPEATS,
-            "clips": {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS},
-        }
+        record = {"machine": machine(), "repeats": REPEATS}
+        if args.baseline is None:
+            record["clips"] = {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS}
+        else:
+            record.update(compare(args.baseline, args.pairs, args.rows, Path(tmp)))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = record
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

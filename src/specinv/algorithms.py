@@ -19,7 +19,7 @@ import numpy as np
 
 from .losses import inconsistency, magnitude_mismatch, mixing_error
 # p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
-from .projectors import _p_mag, _p_mix, p_cons, unit_phasor, weights_magnitude_ratio
+from .projectors import _p_mag, _p_mix, _weights_magnitude_ratio, p_cons, unit_phasor
 from .spectral import StftConfig, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
@@ -151,25 +151,28 @@ def frame_blocks(shape: tuple[int, ...]):
     return (slice(t, t + width) for t in range(0, shape[-1], width))
 
 
-# The steps share one signature, so ``run`` calls every family alike.  They
-# are the paper's formulas, bin by bin, on the projectors' unchecked kernels:
-# ``run`` validates its inputs once and applies a step one frame block at a
-# time (``frame_blocks``), after that block's losses, then checks the
-# block's result for non-finite values and writes it over the block of G.
-# ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
-# the family's Lambda, an array of that shape or the scalar 1/J (``run``
-# passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the
-# consistent image ``p_cons(sources, cfg)``, or None where neither the
-# formula at this sigma nor the loss record needs it; only ``run`` computes
-# it.  A step ignores the arguments its formula does not use.
+# The steps share one signature, so ``run`` calls every family alike: the
+# paper's formulas, bin by bin, on the projectors' unchecked kernels, applied
+# by ``run`` one frame block at a time.  ``mags`` is trusted to be >= 0 and of
+# the sources' shape; ``weights`` is Lambda, such an array or the scalar 1/J;
+# ``cons`` is G(S), or None where neither the formula at this sigma nor the
+# loss record needs it.  A step ignores the arguments its formula does not use.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
-    """(Y + sigma*Lambda*Z) / (1 + sigma*Lambda) for finite sigma, written into ``y``."""
-    scaled = sigma * weights
-    y += scaled * z
-    y /= 1.0 + scaled
+    """(Y + sigma*Lambda*Z) / (1 + sigma*Lambda) for finite sigma, written into ``y``
+    as Z + a*(Y - Z) with the real a = 1/(1 + sigma*Lambda): no complex division."""
+    y -= z
+    y *= 1.0 / (1.0 + sigma * weights)
+    y += z
     return y
+
+
+def _all_finite(block: np.ndarray) -> bool:
+    """``np.all(np.isfinite(block))`` for a (T, F)-memory block, as two reductions:
+    NaN propagates through min and max, and +-inf is their extreme."""
+    d = block.swapaxes(-1, -2).view(np.float64)
+    return bool(-np.inf < d.min() and d.max() < np.inf)
 
 
 def step_misi(sources, mixture, mags, weights, sigma: float, cons) -> np.ndarray:
@@ -228,29 +231,28 @@ def run(
 ) -> RunTrace:
     """Run an algorithm from the amplitude-mask initialization.
 
-    Records all three losses at every iterate (index 0 = initialization).
-    Batch drivers that only need the estimates pass ``record_losses=False``.
-    ``on_iterate(k, sources)`` is called at the initialization and after
-    every step; it must not mutate its argument.  Deterministic for fixed
-    inputs.  The inputs are checked once, here (``ValueError``): by
-    ``init_amplitude_mask``, then the mixture's bins and frames against
-    ``cfg``.  They are then converted to the (J, T, F) memory layout.
+    Records all three losses at every iterate (index 0 = initialization);
+    batch drivers that only need the estimates pass ``record_losses=False``.
+    Deterministic for fixed inputs.  The inputs are checked once, here
+    (``ValueError``): by ``init_amplitude_mask``, then the mixture's bins and
+    frames against ``cfg``; then they are put in (J, T, F) memory.
 
-    ``run`` computes every G itself: G(S_k) once per iterate k, where the
-    step or the loss record needs it.  When the step applies the consistency
-    projection, its G(S_k) also gives ``inconsistency(S_k)``, so recording
-    costs one extra G per run (at the last iterate) rather than one per
-    iterate.
+    Iterate k is one pass: G(S_k) where the step or the loss record needs it
+    (so recording the losses costs one extra G per run, at the last iterate),
+    then ``on_iterate(k, S_k, signals)``, then one pass over frame blocks
+    (``frame_blocks``: about 512 KiB of the source set, so the temporaries
+    stay in cache).  ``signals`` holds G's overlap-added signal of each
+    source, ``cfg.max_samples(T)`` samples equal bit for bit to
+    ``istft(S_k[j], cfg, cfg.max_samples(T))``, or is None where ``run``
+    computes no G(S_k): a step without G at this sigma, and the last iterate
+    without losses.  The observer must not mutate its arguments.
 
-    Apart from G, the steps and the losses act bin by bin, so each iterate is
-    one pass over frame blocks (``frame_blocks``: about 512 KiB of the source
-    set, so the temporaries stay in cache).  For each block, in frame order,
-    ``run`` adds the block's three losses of S_k to running sums and checks
-    them, then applies the step to the block, checks the result and writes it
-    over that block of G(S_k), which nothing reads again.  A non-finite loss
-    or iterate raises ``FloatingPointError``.  The estimates are the same bit
-    for bit as on whole arrays; each loss is summed pairwise within a block,
-    then the block sums are added in frame order.
+    For each block, in frame order, ``run`` adds the block's three losses of
+    S_k to running sums and checks them, then applies the step, checks the
+    result and writes it over that block of G(S_k), which nothing reads
+    again.  A non-finite loss or iterate raises ``FloatingPointError``.  The
+    estimates are the same bit for bit as on whole arrays; each loss is
+    summed pairwise within a block, then the block sums in frame order.
     """
     sources = tf_layout(init_amplitude_mask(mixture, mags))  # checks the arrays; their fit to cfg below
     mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
@@ -263,21 +265,25 @@ def run(
     if not rule.has_step or rule.uniform_weights or spec.weight_scheme == "uniform":
         weights = 1.0 / mags.shape[0]
     else:
-        weights = weights_magnitude_ratio(mags)
+        weights = _weights_magnitude_ratio(mags)  # mags checked by init_amplitude_mask
     # Looked up when run is called, not at import, so a wrapped step is used.
     step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
     n_steps = spec.iterations if rule.has_step else 0
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
     recorded = []  # (mixing, inconsistency, magnitude) of each iterate
-    if on_iterate is not None:
-        on_iterate(0, sources)
-
-    # One pass per step, plus one that only records the last iterate's losses.
-    for k in range(n_steps + record_losses):
+    # One pass per iterate (see above); the last pass only records and observes.
+    for k in range(n_steps + 1):
         stepping = k < n_steps
+        needs_g = record_losses or (stepping and applies_g)
+        signals = [] if needs_g and on_iterate is not None else None
         # Unchecked: the losses and every block of the step's result are checked instead.
-        cons = g_operator(sources, cfg, check_finite=False) if record_losses or applies_g else None
+        cons = g_operator(sources, cfg, check_finite=False, _signals=signals) if needs_g else None
+        if on_iterate is not None:
+            on_iterate(k, sources, signals)
+        signals = None  # free the signals before the block pass
+        if not (stepping or record_losses):
+            break
         out = np.empty_like(sources) if cons is None else cons
         sums = [0.0, 0.0, 0.0]
         for b in frame_blocks(sources.shape):
@@ -290,7 +296,7 @@ def run(
                     raise FloatingPointError(f"non-finite loss at iterate {k}")
             if stepping:
                 block = step(s, x, v, w, sigma, z)
-                if not np.all(np.isfinite(block)):
+                if not _all_finite(block):
                     raise FloatingPointError("non-finite estimate produced")
                 out[..., b] = block
         s = None  # the last block's view of S_k would keep it alive through the next G
@@ -298,8 +304,6 @@ def run(
             recorded.append(sums)
         if stepping:
             sources = out
-            if on_iterate is not None:
-                on_iterate(k + 1, sources)
 
     h, i, m = np.reshape(recorded, (-1, 3)).T.copy()
     combined = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec,
 from .experiment import load_sweep_config, parse_sigma, run_benchmark
 from .metrics import sdr
 from .signal_io import make_mixture, read_spectrogram, read_wav, write_wav
-from .spectral import StftConfig, TimeSignal, istft, stft
+from .spectral import StftConfig, TimeSignal, stft
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -43,6 +44,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as -1e3 is a number, not an option: argparse before
+        # Python 3.13 reads only -N and -N.N as negative numbers.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -118,12 +125,15 @@ def cmd_separate(args) -> int:
     mixture_spec = stft(mixture.samples, cfg)
     family, sigma, iterations = _resolve_algo(args.algo, args.sigma, args.iters)
     spec = AlgorithmSpec(family, sigma, args.weights, iterations)
-    trace = algorithms.run(spec, mixture_spec, mags, cfg)
+    # Recording the losses, run computes G(S_n) of the last iterate n: its
+    # signals are the istft of the estimates, bit for bit.
+    last, final = (iterations if RULES[family].has_step else 0), []
+    trace = algorithms.run(spec, mixture_spec, mags, cfg,
+                           on_iterate=lambda k, s, signals: final.extend(signals) if k == last else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for j, est in enumerate(trace.estimates, start=1):
-        samples = istft(est, cfg, len(mixture))
-        write_wav(out / f"est_{j}.wav", TimeSignal(samples, mixture.sample_rate))
+    for j, samples in enumerate(final, start=1):
+        write_wav(out / f"est_{j}.wav", TimeSignal(samples[: len(mixture)], mixture.sample_rate))
     losses = zip(trace.mixing, trace.inconsistency, trace.magnitude)
     lines = ["iteration,h,i,m"] + [f"{k},{h:.12e},{i:.12e},{m:.12e}" for k, (h, i, m) in enumerate(losses)]
     (out / "trace.csv").write_text("\n".join(lines) + "\n")

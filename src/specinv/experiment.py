@@ -200,16 +200,18 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
     records = []
     for spec, record_iters in task.jobs:
         # The clock stops while the observer scores an iterate, so wall_ms
-        # times the algorithm alone.
+        # times the algorithm alone.  Iterate k's speech signal comes from
+        # run's G(S_k) where run computed one, else from an istft probe.
         start = time.perf_counter()
         paused = 0.0
 
-        def observe(k, sources):
+        def observe(k, sources, signals):
             nonlocal paused
             entered = time.perf_counter()
             if k in record_iters:
                 elapsed = (entered - start - paused) * 1e3 if task.record_timing else 0.0
-                value = sdr(clean.samples, istft(sources[0], stft_cfg, len(clean)))
+                speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
+                value = sdr(clean.samples, speech)
                 records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level,
                                           task.split, task.item_id, value, elapsed))
             paused += time.perf_counter() - entered

@@ -26,17 +26,21 @@ def unit_phasor(s: np.ndarray) -> np.ndarray:
     numpy's complex-by-real division does.  Only the bins where 1/|s|
     overflows (|s| zero or subnormal) or |s| itself does (a finite ``s``
     near the float64 limit) are patched afterwards: they are brought into
-    range by an exact power of two, then divided by their modulus.
+    range by an exact power of two, then divided by their modulus.  Whether
+    any bin needs it is decided by the min and max of |s| (NaN propagates
+    through both, so NaN bins are patched too); only then is the mask built.
     """
     s = np.asarray(s, dtype=np.complex128)
     inv = np.abs(s, out=np.empty_like(s, dtype=np.float64))  # s's layout; an array even at 0-d
-    patch = ~((inv >= np.finfo(np.float64).tiny) & (inv < np.inf))
-    if patch.any():  # rare: only then are the bins indexed
+    tiny = np.finfo(np.float64).tiny
+    patch = None
+    if not (inv.min(initial=np.inf) >= tiny and inv.max(initial=0.0) < np.inf):  # rare
+        patch = ~((inv >= tiny) & (inv < np.inf))
         scaled = s[patch] * np.where(inv[patch] < 1.0, 2.0**600, 2.0**-600)
         inv[patch] = 1.0
     np.reciprocal(inv, out=inv)
     out = np.multiply(s, inv, out=np.empty_like(s))
-    if patch.any():
+    if patch is not None:
         out[patch] = np.divide(scaled, np.abs(scaled), out=np.ones_like(scaled), where=np.abs(scaled) > 0)
     return out
 
@@ -62,6 +66,11 @@ def weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
         raise ValueError("magnitudes must be a J x F x T array")
     if np.any(mags < 0):
         raise ValueError("invalid magnitude")
+    return _weights_magnitude_ratio(mags)
+
+
+def _weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
+    """``mags`` is trusted to be a J x F x T float array >= 0."""
     floor = 1e-12 * mags.max() if mags.size else 0.0
     n_sources = mags.shape[0]
     total = mags.sum(axis=0)

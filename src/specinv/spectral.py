@@ -173,7 +173,7 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
     return _synthesize(spec.T, cfg)[cfg.pad : cfg.pad + out_len]
 
 
-def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True) -> np.ndarray:
+def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True, _signals=None) -> np.ndarray:
     """Consistency operator: STFT of the iSTFT of each spectrogram.
 
     ``spec`` is one F x T spectrogram or a J x F x T source set; each source
@@ -183,6 +183,10 @@ def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True) 
     result as applying it once.  ``check_finite=False`` skips the one scan
     for non-finite entries, for callers that have checked the input
     already; a non-finite input then gives a non-finite result.
+
+    ``_signals``, for ``algorithms.run``: a list to which each source's
+    overlap-added signal is appended, cropped to the ``cfg.max_samples(T)``
+    samples the frames span: ``istft(source, cfg, max_samples(T))`` bit for bit.
     """
     spec = np.asarray(spec, dtype=np.complex128)
     if spec.ndim not in (2, 3) or spec.shape[-2] != cfg.n_bins:
@@ -201,4 +205,6 @@ def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True) 
         signal[: cfg.pad] = 0.0
         signal[n_frames * cfg.hop :] = 0.0
         _analyze(signal, cfg, out=z)
+        if _signals is not None:
+            _signals.append(signal[cfg.pad : n_frames * cfg.hop])
     return out.transpose(0, 2, 1).reshape(spec.shape)

@@ -101,7 +101,7 @@ def test_step_writes_its_result_over_cons(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MISI, iterations=3), mixture, mags, CFG,
-        on_iterate=lambda k, s: iterates.append((s, s.copy(order="K"))))
+        on_iterate=lambda k, s, signals: iterates.append((s, s.copy(order="K"))))
     assert len(made) == 4  # G(S_0), G(S_1), G(S_2), and G(S_3) for the last loss record
     for k in (1, 2, 3):
         current, before = iterates[k][0], iterates[k - 1][1]
@@ -116,7 +116,7 @@ def test_sigma_0_row_without_losses_gets_fresh_arrays(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 3), mixture, mags, CFG,
-        on_iterate=lambda k, s: iterates.append(s), record_losses=False)
+        on_iterate=lambda k, s, signals: iterates.append(s), record_losses=False)
     assert made == []  # the formula at sigma=0 has no G
     for before, current in zip(iterates, iterates[1:]):
         assert current.transpose(0, 2, 1).flags.c_contiguous  # (J, T, F) memory
@@ -149,3 +149,28 @@ def test_loss_record_checks_every_block(monkeypatch):
     spec = AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 2)
     with pytest.raises(FloatingPointError, match="non-finite loss at iterate 0"):
         run(spec, mixture, mags, CFG)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=("nan", "+inf", "-inf"))
+@pytest.mark.parametrize("frame", [0, 20, 40], ids=("first", "middle", "last"))
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_step_check_finds_each_non_finite_value(monkeypatch, value, frame, part):
+    # Blocks of 7 over 41 frames: frame 0 is in the first, 20 in the third and
+    # 40 in the ragged sixth.  One poisoned entry anywhere fails the check.
+    mixture, mags = _problem(2)
+    _set_width(monkeypatch, mags.shape, 7)
+    real_step = algorithms.step_misi
+    offsets = []
+
+    def poisoned(sources, *args):
+        out = real_step(sources, *args)
+        start = sum(offsets)
+        offsets.append(out.shape[-1])
+        if start <= frame < start + out.shape[-1]:
+            getattr(out[1, 3:4, frame - start], part)[...] = value
+        return out
+
+    monkeypatch.setattr(algorithms, "step_misi", poisoned)
+    with pytest.raises(FloatingPointError, match="non-finite estimate produced"):
+        run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG, record_losses=False)
+    assert sum(offsets) == min(41, (frame // 7 + 1) * 7)  # raised at the poisoned block

@@ -71,6 +71,18 @@ class TestMix:
                      f"--isnr={value}", "--out", str(tmp_path / "mix")])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("value", ["-1e1", "-1E+1", "-.1e2", "-10"])
+    def test_negative_isnr_after_a_space(self, audio_pair, tmp_path, value):
+        # The value after a space parses as with "=", exponent form included.
+        clean, noise = audio_pair
+        outs = []
+        for name, isnr in (("space", ["--isnr", value]), ("equals", [f"--isnr={value}"])):
+            code = main(["mix", "--clean", str(clean), "--noise", str(noise), *isnr, "--out", str(tmp_path / name)])
+            assert code == EXIT_OK
+            outs.append([(tmp_path / name / f).read_bytes() for f in ("mixture.wav", "mix.json")])
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0][1])["isnr_target_db"] == -10.0
+
     def test_same_seed_identical_outputs(self, audio_pair, tmp_path):
         clean, noise = audio_pair
         outs = []

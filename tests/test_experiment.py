@@ -302,9 +302,9 @@ class TestWallTime:
         real_run, real_sdr = algorithms.run, experiment.sdr
 
         def ticking_run(spec, mixture, mags, cfg, on_iterate, record_losses):
-            def tick(k, sources):
+            def tick(k, sources, signals):
                 clock[0] += 1.0
-                on_iterate(k, sources)
+                on_iterate(k, sources, signals)
             return real_run(spec, mixture, mags, cfg, on_iterate=tick, record_losses=record_losses)
 
         def slow_sdr(ref, est):

@@ -100,6 +100,35 @@ def test_unit_phasor_where_the_modulus_overflows(rng):
     np.testing.assert_allclose(np.abs(p_mag(huge[None, None], np.full((1, 1, 3), 2.0))), 2.0, rtol=4 * EPS)
 
 
+def _unit_phasor_masked(s):
+    """``unit_phasor`` with its patch mask built on every call, as it was."""
+    s = np.asarray(s, dtype=np.complex128)
+    inv = np.abs(s, out=np.empty_like(s, dtype=np.float64))
+    patch = ~((inv >= np.finfo(np.float64).tiny) & (inv < np.inf))
+    scaled = s[patch] * np.where(inv[patch] < 1.0, 2.0**600, 2.0**-600)
+    inv[patch] = 1.0
+    np.reciprocal(inv, out=inv)
+    out = np.multiply(s, inv, out=np.empty_like(s))
+    out[patch] = np.divide(scaled, np.abs(scaled), out=np.ones_like(scaled), where=np.abs(scaled) > 0)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("special", [None, 0.0, 5e-324, 1.5e308 + 1.5e308j, np.nan, complex(1.0, np.nan),
+                                     np.inf, complex(1.0, -np.inf), complex(np.inf, np.nan)])
+def test_unit_phasor_builds_its_mask_only_when_needed(rng, special):
+    # Whether any bin needs the patch is read from |s|'s min and max; the
+    # result is the always-masked one bit for bit, non-finite bins included.
+    s = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+    if special is not None:
+        s[1, 2, 3] = special
+    for x in (s, s.transpose(0, 2, 1), s[:, :, :0], s[1, 2, 3]):
+        got, want = unit_phasor(x), _unit_phasor_masked(x)
+        assert got.shape == want.shape
+        bits = [np.ascontiguousarray(a).view(np.uint64) for a in (got, want)]  # ndim >= 1
+        assert np.array_equal(*bits), special
+
+
 @pytest.mark.parametrize("n_sources", (1, 2, 3))
 def test_p_mag_matches_per_bin_loop(rng, n_sources):
     s = np.stack([_complex(rng, SHAPE) for _ in range(n_sources)])
