@@ -258,6 +258,8 @@ def main() -> None:
         return
     if args.out is None or args.label is None:
         parser.error("--out and --label are required")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         record = {"machine": machine(), "repeats": REPEATS}
         if args.baseline is None:

@@ -146,6 +146,22 @@ class TestSeparate:
         got = read_wav(out / "est_1.wav").samples.astype(np.float32)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("name", ["am", "misi", "mix_incons", "mixture_proj", "griffin_lim", "incons_hardmix"])
+    def test_wavs_are_the_istft_of_the_estimates(self, separation_setup, tmp_path, name):
+        # The WAVs come from run's last G, which must round as istft does.
+        cfg, mix_path, mag_paths, mixture, mags = separation_setup
+        out = tmp_path / "sep"
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *mag_paths,
+                     "--algo", name, "--sigma", "0.5", "--iters", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        family, sigma, iterations = _resolve_algo(name, "0.5", 3)
+        spec = AlgorithmSpec(family, sigma, iterations=iterations)
+        trace = run(spec, stft(mixture.samples, cfg), mags, cfg)
+        for j, est in enumerate(trace.estimates, start=1):
+            expected = istft(est, cfg, len(mixture)).astype(np.float32)
+            got = read_wav(out / f"est_{j}.wav").samples.astype(np.float32)
+            assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+
     def test_trace_csv_written(self, separation_setup, tmp_path):
         _, mix_path, mag_paths, _, _ = separation_setup
         out = tmp_path / "sep"
