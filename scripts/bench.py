@@ -28,14 +28,13 @@ after run.  Time another checkout by putting its ``src`` first on
 
 With ``--baseline REV`` the script compares the commit REV with the working
 tree instead.  It exports REV with ``git archive`` into a temporary
-directory and times each row (or each row matching ``--rows``, a regular
-expression over names such as ``4s/sweep_task_30``) in fresh
-subprocesses, baseline and working tree alternately, for ``--pairs``
-pairs; which side goes first alternates from pair to pair and row to row.
-Both sides run this file, each importing its own ``src``.  Each row reports
-both medians, the median of the per-pair ratios working tree / baseline,
-and in how many pairs the working tree was faster.  Run with REV = HEAD on
-a clean tree, it measures the spread between two runs of the same code.
+directory and times each row in fresh subprocesses, baseline and
+working tree alternately, for ``--pairs`` pairs; which side goes first
+alternates from pair to pair and row to row.  Both sides run this file,
+each importing its own ``src``.  Each row reports both medians, the
+median of the per-pair ratios working tree / baseline, and in how many
+pairs the working tree was faster.  Run with REV = HEAD on a clean tree,
+it measures the spread between two runs of the same code.
 
     PYTHONPATH=src python3 scripts/bench.py --label aa --out BENCH.json --baseline HEAD --pairs 5
 """
@@ -47,7 +46,6 @@ import functools
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -189,8 +187,8 @@ def time_in_subprocess(src: Path, row: str) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
-def compare(rev: str, pairs: int, pattern: str, tmp: Path) -> dict[str, object]:
-    """Interleaved baseline/working-tree timings of every row matching ``pattern``."""
+def compare(rev: str, pairs: int, tmp: Path) -> dict[str, object]:
+    """Interleaved baseline/working-tree timings of every row."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
     base = tmp / "baseline"
@@ -198,10 +196,9 @@ def compare(rev: str, pairs: int, pattern: str, tmp: Path) -> dict[str, object]:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
     sides = {"baseline": base / "src", "change": ROOT / "src"}
-    rows = [r for r in row_names(tmp) if re.search(pattern, r)]
-    times = {r: {side: [] for side in sides} for r in rows}
+    times = {r: {side: [] for side in sides} for r in row_names(tmp)}
     for i in range(pairs):
-        for j, row in enumerate(rows):
+        for j, row in enumerate(times):
             order = list(sides) if (i + j) % 2 == 0 else list(sides)[::-1]
             for side in order:
                 times[row][side].append(time_in_subprocess(sides[side], row))
@@ -248,7 +245,6 @@ def main() -> None:
     parser.add_argument("--label", help="key for this run in the JSON file")
     parser.add_argument("--baseline", metavar="REV", help="compare commit REV with the working tree")
     parser.add_argument("--pairs", type=int, default=5, help="baseline/working-tree pairs per row (default 5)")
-    parser.add_argument("--rows", default="", help="regular expression selecting rows, e.g. '4s/run_'")
     parser.add_argument("--row", help=argparse.SUPPRESS)  # internal: time one row, print its ms
     args = parser.parse_args()
     if args.row is not None:
@@ -265,7 +261,7 @@ def main() -> None:
         if args.baseline is None:
             record["clips"] = {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS}
         else:
-            record.update(compare(args.baseline, args.pairs, args.rows, Path(tmp)))
+            record.update(compare(args.baseline, args.pairs, Path(tmp)))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = record
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

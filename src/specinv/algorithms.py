@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -151,12 +152,17 @@ def frame_blocks(shape: tuple[int, ...]):
     return (slice(t, t + width) for t in range(0, shape[-1], width))
 
 
-# The steps share one signature, so ``run`` calls every family alike: the
-# paper's formulas, bin by bin, on the projectors' unchecked kernels, applied
-# by ``run`` one frame block at a time.  ``mags`` is trusted to be >= 0 and of
-# the sources' shape; ``weights`` is Lambda, such an array or the scalar 1/J;
-# ``cons`` is G(S), or None where neither the formula at this sigma nor the
-# loss record needs it.  A step ignores the arguments its formula does not use.
+# The steps share one signature, so ``run`` calls every family alike.  They
+# are the paper's formulas, bin by bin, on the projectors' unchecked kernels:
+# ``run`` validates its inputs once and applies a step one frame block at a
+# time (``frame_blocks``), after that block's losses, then checks the
+# block's result for non-finite values and writes it over the block of G.
+# ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
+# the family's Lambda, an array of that shape or the scalar 1/J (``run``
+# passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the
+# consistent image ``p_cons(sources, cfg)``, or None where neither the
+# formula at this sigma nor the loss record needs it; only ``run`` computes
+# it.  A step ignores the arguments its formula does not use.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
@@ -239,13 +245,16 @@ def run(
 
     Iterate k is one pass: G(S_k) where the step or the loss record needs it
     (so recording the losses costs one extra G per run, at the last iterate),
-    then ``on_iterate(k, S_k, signals)``, then one pass over frame blocks
-    (``frame_blocks``: about 512 KiB of the source set, so the temporaries
-    stay in cache).  ``signals`` holds G's overlap-added signal of each
-    source, ``cfg.max_samples(T)`` samples equal bit for bit to
+    then ``on_iterate(k, S_k, signals, g_seconds)``, then one pass over frame
+    blocks (``frame_blocks``: about 512 KiB of the source set, so the
+    temporaries stay in cache).  ``signals`` holds G's overlap-added signal
+    of each source, ``cfg.max_samples(T)`` samples equal bit for bit to
     ``istft(S_k[j], cfg, cfg.max_samples(T))``, or is None where ``run``
     computes no G(S_k): a step without G at this sigma, and the last iterate
-    without losses.  The observer must not mutate its arguments.
+    without losses.  ``g_seconds`` is the ``time.perf_counter`` time that
+    G(S_k) took (about 0 where there was none), so an observer can time
+    iterate k as the work that produced S_k.  The observer must not mutate
+    its arguments.
 
     For each block, in frame order, ``run`` adds the block's three losses of
     S_k to running sums and checks them, then applies the step, checks the
@@ -277,10 +286,11 @@ def run(
         stepping = k < n_steps
         needs_g = record_losses or (stepping and applies_g)
         signals = [] if needs_g and on_iterate is not None else None
+        started = time.perf_counter()
         # Unchecked: the losses and every block of the step's result are checked instead.
         cons = g_operator(sources, cfg, check_finite=False, _signals=signals) if needs_g else None
         if on_iterate is not None:
-            on_iterate(k, sources, signals)
+            on_iterate(k, sources, signals, time.perf_counter() - started)
         signals = None  # free the signals before the block pass
         if not (stepping or record_losses):
             break

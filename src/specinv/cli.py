@@ -125,11 +125,14 @@ def cmd_separate(args) -> int:
     mixture_spec = stft(mixture.samples, cfg)
     family, sigma, iterations = _resolve_algo(args.algo, args.sigma, args.iters)
     spec = AlgorithmSpec(family, sigma, args.weights, iterations)
-    # Recording the losses, run computes G(S_n) of the last iterate n: its
-    # signals are the istft of the estimates, bit for bit.
-    last, final = (iterations if RULES[family].has_step else 0), []
-    trace = algorithms.run(spec, mixture_spec, mags, cfg,
-                           on_iterate=lambda k, s, signals: final.extend(signals) if k == last else None)
+    # Recording the losses, run computes G(S_n) of the last iterate n, so the
+    # last signals it hands ``keep`` are the istft of the estimates.
+    final = []
+
+    def keep(k, sources, signals, g_seconds):
+        final[:] = signals
+
+    trace = algorithms.run(spec, mixture_spec, mags, cfg, on_iterate=keep)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for j, samples in enumerate(final, start=1):

@@ -202,14 +202,16 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
         # The clock stops while the observer scores an iterate, so wall_ms
         # times the algorithm alone.  Iterate k's speech signal comes from
         # run's G(S_k) where run computed one, else from an istft probe.
+        # Iterate k's time leaves that G(S_k) out: it counts in iterate k+1,
+        # whose step uses it, so every row and iterate is timed alike.
         start = time.perf_counter()
         paused = 0.0
 
-        def observe(k, sources, signals):
+        def observe(k, sources, signals, g_seconds):
             nonlocal paused
             entered = time.perf_counter()
             if k in record_iters:
-                elapsed = (entered - start - paused) * 1e3 if task.record_timing else 0.0
+                elapsed = (entered - g_seconds - start - paused) * 1e3 if task.record_timing else 0.0
                 speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
                 value = sdr(clean.samples, speech)
                 records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level,

@@ -25,7 +25,9 @@ SPGM_VERSION = 1
 _KIND_REAL = 0
 
 
-# --- WAV ---
+# ---------------------------------------------------------------------------
+# WAV
+# ---------------------------------------------------------------------------
 
 def read_wav(path) -> TimeSignal:
     """Read a mono PCM16 or float32 WAV file.
@@ -55,7 +57,9 @@ def write_wav(path, signal: TimeSignal) -> None:
     wavfile.write(path, signal.sample_rate, signal.samples.astype(np.float32))
 
 
-# --- SPGM spectrogram files ---
+# ---------------------------------------------------------------------------
+# SPGM spectrogram files
+# ---------------------------------------------------------------------------
 
 def write_spectrogram(path, matrix: np.ndarray) -> None:
     """Write a real F x T matrix as an SPGM file; complex input is rejected."""
@@ -91,7 +95,9 @@ def read_spectrogram(path) -> np.ndarray:
     return data.reshape(n_rows, n_cols).astype(np.float64)
 
 
-# --- Mixture synthesis and magnitude models ---
+# ---------------------------------------------------------------------------
+# Mixture synthesis and magnitude models
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MixtureResult:
@@ -174,7 +180,9 @@ def degrade_magnitudes(mags: np.ndarray, level: float, seed: int) -> np.ndarray:
     return out
 
 
-# --- Dataset manifest ---
+# ---------------------------------------------------------------------------
+# Dataset manifest
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ManifestItem:

@@ -101,7 +101,7 @@ def test_step_writes_its_result_over_cons(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MISI, iterations=3), mixture, mags, CFG,
-        on_iterate=lambda k, s, signals: iterates.append((s, s.copy(order="K"))))
+        on_iterate=lambda k, s, signals, g_seconds: iterates.append((s, s.copy(order="K"))))
     assert len(made) == 4  # G(S_0), G(S_1), G(S_2), and G(S_3) for the last loss record
     for k in (1, 2, 3):
         current, before = iterates[k][0], iterates[k - 1][1]
@@ -116,7 +116,7 @@ def test_sigma_0_row_without_losses_gets_fresh_arrays(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 3), mixture, mags, CFG,
-        on_iterate=lambda k, s, signals: iterates.append(s), record_losses=False)
+        on_iterate=lambda k, s, signals, g_seconds: iterates.append(s), record_losses=False)
     assert made == []  # the formula at sigma=0 has no G
     for before, current in zip(iterates, iterates[1:]):
         assert current.transpose(0, 2, 1).flags.c_contiguous  # (J, T, F) memory

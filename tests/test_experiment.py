@@ -296,24 +296,41 @@ class TestItemFailures:
 
 
 class TestWallTime:
-    def test_probe_time_excluded(self, tiny_config, monkeypatch):
-        # A fake clock: each algorithm iterate takes 1 s, each SDR probe 1000 s.
+    @staticmethod
+    def _wall_ms(tiny_config, monkeypatch, g_cost):
+        # A fake clock: each algorithm iterate takes 1 s, each G g_cost s,
+        # each SDR probe 1000 s.  misi, 4 iterations, no losses.
         clock = [0.0]
-        real_run, real_sdr = algorithms.run, experiment.sdr
+        real_run, real_sdr, real_g = algorithms.run, experiment.sdr, algorithms.g_operator
 
         def ticking_run(spec, mixture, mags, cfg, on_iterate, record_losses):
-            def tick(k, sources, signals):
+            def tick(k, sources, signals, g_seconds):
                 clock[0] += 1.0
-                on_iterate(k, sources, signals)
+                on_iterate(k, sources, signals, g_seconds)
             return real_run(spec, mixture, mags, cfg, on_iterate=tick, record_losses=record_losses)
+
+        def slow_g(*args, **kwargs):
+            clock[0] += g_cost
+            return real_g(*args, **kwargs)
 
         def slow_sdr(ref, est):
             clock[0] += 1000.0
             return real_sdr(ref, est)
 
-        monkeypatch.setattr(experiment, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        fake_time = types.SimpleNamespace(perf_counter=lambda: clock[0])
+        monkeypatch.setattr(experiment, "time", fake_time)
+        monkeypatch.setattr(algorithms, "time", fake_time)
         monkeypatch.setattr(algorithms, "run", ticking_run)
+        monkeypatch.setattr(algorithms, "g_operator", slow_g)
         monkeypatch.setattr(experiment, "sdr", slow_sdr)
         cfg, task = _one_task(dataclasses.replace(tiny_config, record_timing=True), "misi", 0.0, 4)
-        records = experiment._process_item(task)
-        assert [(r.iterations, r.wall_ms) for r in records] == [(k, 1e3 * (k + 1)) for k in range(1, 5)]
+        return [(r.iterations, r.wall_ms) for r in experiment._process_item(task)]
+
+    def test_probe_time_excluded(self, tiny_config, monkeypatch):
+        assert self._wall_ms(tiny_config, monkeypatch, 0.0) == [(k, 1e3 * (k + 1)) for k in range(1, 5)]
+
+    def test_g_of_the_observed_iterate_excluded(self, tiny_config, monkeypatch):
+        # run computes G(S_0) ... G(S_3), each before observing its iterate,
+        # and no G at the last iterate: iterate k counts the k Gs that
+        # produced S_k on every iterate, the last one included.
+        assert self._wall_ms(tiny_config, monkeypatch, 10.0) == [(k, 1e3 * (k + 1 + 10 * k)) for k in range(1, 5)]

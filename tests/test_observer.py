@@ -43,7 +43,7 @@ def test_signals_are_the_istft_of_each_iterate(family, record_losses, n_sources)
     for sigma in (0.0, 1.0, SIGMA_INF):
         seen = []
 
-        def observe(k, sources, signals):
+        def observe(k, sources, signals, g_seconds):
             probes = [istft(s, CFG, n_samples) for s in sources]
             seen.append((k, probes, signals))
 
@@ -90,7 +90,7 @@ def test_default_sweep_task_probes_87_iterates(one_item, tmp_path, monkeypatch):
     real_run = algorithms.run
 
     def without_signals(spec, mixture, mags, cfg, on_iterate, record_losses):
-        return real_run(spec, mixture, mags, cfg, on_iterate=lambda k, s, signals: on_iterate(k, s, None),
+        return real_run(spec, mixture, mags, cfg, on_iterate=lambda k, s, signals, g_s: on_iterate(k, s, None, g_s),
                         record_losses=record_losses)
 
     monkeypatch.setattr(algorithms, "run", without_signals)

@@ -126,7 +126,7 @@ def test_run_iterates_match_paper_formula(family, n_sources):
     for sigma, scheme in itertools.product(SIGMAS, SCHEMES):
         iterates = []
         spec = AlgorithmSpec(family=family, sigma=sigma, weight_scheme=scheme, iterations=2)
-        trace = run(spec, x, mags, cfg, on_iterate=lambda k, s, signals: iterates.append(s.copy()),
+        trace = run(spec, x, mags, cfg, on_iterate=lambda k, s, signals, g_seconds: iterates.append(s.copy()),
                     record_losses=False)
         want = [init]
         if family is not Family.AM:
