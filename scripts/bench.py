@@ -231,6 +231,7 @@ def machine() -> dict[str, object]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "nproc": cpus,
+        "g_threads": getattr(spectral, "_threads", 1),  # frame ranges per G; 1 before G had threads
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -302,7 +302,7 @@ def run(
                 sums[0] += mixing_error(s, x)
                 sums[1] += inconsistency(s, cfg, z)
                 sums[2] += magnitude_mismatch(s, v)
-                if not np.all(np.isfinite(sums)):
+                if not all(map(math.isfinite, sums)):
                     raise FloatingPointError(f"non-finite loss at iterate {k}")
             if stepping:
                 block = step(s, x, v, w, sigma, z)

@@ -11,7 +11,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -29,7 +28,7 @@ from .signal_io import (
     oracle_magnitudes,
     read_wav,
 )
-from .spectral import StftConfig, istft, stft
+from .spectral import StftConfig, _set_threads, istft, stft, usable_cpus
 
 CSV_HEADER = "algorithm,sigma,iterations,isnr_db,degradation,split,item_id,sdr_db,wall_ms"
 
@@ -229,18 +228,11 @@ def _process_item_safe(task: _ItemTask):
         return [], f"{task.item_id}: {exc}"
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
     workers = min(usable_cpus() if jobs is None else jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms
+        with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,)) as pool:
             results = list(pool.map(_process_item_safe, tasks))
     else:
         results = [_process_item_safe(task) for task in tasks]

@@ -13,15 +13,41 @@ Memory layout: a spectrogram is logically F x T, and in memory it is
 of its frame-by-frame ``rfft``, and ``g_operator`` keeps that layout for an
 F x T spectrogram and, per source, for a J x F x T source set (memory
 (J, T, F)).  Other layouts are accepted everywhere; they are only slower.
+
+Threads: ``stft``, ``istft`` and ``g_operator`` split the frames into one
+contiguous range per usable CPU (a sweep worker: its share), run by the
+calling thread and a pool, as numpy's FFTs release the GIL.  Frame t spans
+signal rows [t, t + h] of ``hop`` samples, h = window/hop - 1, so each range
+redoes a halo of h frames per side and the output does not depend, bit for
+bit, on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _set_threads(n: int) -> None:
+    """Split each transform into ``n`` frame ranges, for this thread and a new pool of
+    ``n - 1`` (threads start on first use)."""
+    global _threads, _pool
+    _threads, _pool = n, ThreadPoolExecutor(max(1, n - 1))
+
+
+_set_threads(usable_cpus())
+# The parent's pool threads are not in a forked child: a task sent to them would never run.
+os.register_at_fork(after_in_child=lambda: _set_threads(_threads))
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -117,26 +143,50 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _analyze(buf: np.ndarray, cfg: StftConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Window the frames of a padded signal buffer and ``rfft`` them: T x F."""
-    frames = sliding_window_view(buf, cfg.window_length)[:: cfg.hop] * cfg.window
-    return np.fft.rfft(frames, axis=1, out=out)
+def _frame_range(cfg, ola, spec, buf, out, signals, a, b, frames, acc):
+    """Frames [a, b) of every source, with rows [a, b + h) of its padded signal
+    overlap-added from ``spec`` (J, T, F) into ``acc`` or read from ``buf``
+    (J, T + h, hop).  Writes the rows in [h, T) to ``signals`` (J, T - h, hop)
+    and the frames' ``rfft`` to ``out`` (J, T, F), where not None.  Runs in
+    pool threads, so it calls numpy only and allocates no buffer."""
+    ratio, h, n_frames = cfg.window_length // cfg.hop, cfg.pad // cfg.hop, len(ola) - cfg.pad // cfg.hop
+    lo = max(0, a - h)
+    for j in range(len(spec if buf is None else buf)):
+        if buf is None:
+            chunks = np.fft.irfft(spec[j, lo : b + h], n=cfg.window_length, axis=1, out=frames)
+            chunks *= cfg.window
+            chunks = chunks.reshape(-1, ratio, cfg.hop)
+            acc.fill(0.0)
+            for c in range(ratio):  # chunk c of frame t lands on row t + c
+                t0, t1 = max(lo, a - c), min(n_frames, b + h - c)
+                acc[t0 + c - a : t1 + c - a] += chunks[t0 - lo : t1 - lo, c]
+            acc /= ola[a : b + h]
+            # Zeroing the padding is the iSTFT's crop and the STFT's re-pad.
+            acc[: max(0, h - a)] = 0.0
+            acc[n_frames - a :] = 0.0
+        rows = acc if buf is None else buf[j, a : b + h]
+        if signals is not None and b > h:
+            signals[j, max(0, a - h) : b - h] = rows[max(0, h - a) : b - a]
+        if out is not None:
+            windows = sliding_window_view(rows.reshape(-1), cfg.window_length)[:: cfg.hop]
+            np.fft.rfft(np.multiply(windows, cfg.window, out=frames[: b - a]), axis=1, out=out[j, a:b])
 
 
-def _synthesize(frames_spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Least-squares overlap-add of a T x F spectrogram over the whole padded buffer."""
-    n_frames = frames_spec.shape[0]
-    frames = np.fft.irfft(frames_spec, n=cfg.window_length, axis=1)
-    frames *= cfg.window
-    # Overlap-add via hop-sized chunks: chunk c of frame t lands at (t+c)*hop.
-    ratio = cfg.window_length // cfg.hop
-    chunks = frames.reshape(n_frames, ratio, cfg.hop)
-    acc = np.zeros((n_frames + ratio - 1, cfg.hop))
-    for c in range(ratio):
-        acc[c : c + n_frames] += chunks[:, c, :]
-    out = acc.ravel()
-    out /= _ola_window_sq(cfg, n_frames)
-    return out
+def _transform(cfg: StftConfig, n_frames: int, spec=None, buf=None, out=None, signals=None) -> None:
+    """``_frame_range`` over ``_threads`` ranges of the frames: the first here, the others in the pool."""
+    h = cfg.pad // cfg.hop
+    n = min(_threads, n_frames)
+    bounds = [n_frames * i // n for i in range(n + 1)]
+    run = partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames).reshape(-1, cfg.hop), spec, buf, out, signals)
+    ranges = [(a, b, np.empty((min(n_frames, b + h) - max(0, a - h), cfg.window_length)),
+               np.empty((b - a + h, cfg.hop))) for a, b in zip(bounds, bounds[1:])]
+    futures = [_pool.submit(run, *r) for r in ranges[1:]]
+    try:
+        run(*ranges[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -147,10 +197,11 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
     n_frames = cfg.num_frames(x.size)
-    total = (n_frames - 1) * cfg.hop + cfg.window_length
-    buf = np.zeros(total)
-    buf[cfg.pad : cfg.pad + x.size] = x
-    return _analyze(buf, cfg).T
+    buf = np.zeros((1, n_frames + cfg.pad // cfg.hop, cfg.hop))
+    buf.reshape(-1)[cfg.pad : cfg.pad + x.size] = x
+    out = np.empty((1, n_frames, cfg.n_bins), dtype=np.complex128)
+    _transform(cfg, n_frames, buf=buf, out=out)
+    return out[0].T
 
 
 @lru_cache(maxsize=64)
@@ -170,7 +221,9 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
         raise ValueError("spectrogram contains non-finite entries")
     if cfg.num_frames(out_len) != spec.shape[1]:
         raise ValueError("length mismatch")
-    return _synthesize(spec.T, cfg)[cfg.pad : cfg.pad + out_len]
+    signal = np.empty((1, spec.shape[1] - cfg.pad // cfg.hop, cfg.hop))
+    _transform(cfg, spec.shape[1], spec=spec.T[None], signals=signal)
+    return signal.reshape(-1)[:out_len]
 
 
 def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True, _signals=None) -> np.ndarray:
@@ -196,15 +249,10 @@ def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True, 
         raise ValueError(f"{n_frames} frames span no signal sample")
     if check_finite and not np.all(np.isfinite(spec)):
         raise ValueError("spectrogram contains non-finite entries")
-    sources = spec.reshape((-1,) + spec.shape[-2:])
-    out = np.empty((sources.shape[0], n_frames, cfg.n_bins), dtype=np.complex128)
-    for s, z in zip(sources, out):
-        # The overlap-added signal spans the buffer that stft frames, so
-        # zeroing its padding is the iSTFT's crop and the STFT's re-pad.
-        signal = _synthesize(s.T, cfg)
-        signal[: cfg.pad] = 0.0
-        signal[n_frames * cfg.hop :] = 0.0
-        _analyze(signal, cfg, out=z)
-        if _signals is not None:
-            _signals.append(signal[cfg.pad : n_frames * cfg.hop])
+    sources = spec.reshape((-1,) + spec.shape[-2:]).swapaxes(1, 2)
+    out = np.empty((len(sources), n_frames, cfg.n_bins), dtype=np.complex128)
+    signals = None if _signals is None else np.empty((len(sources), n_frames - cfg.pad // cfg.hop, cfg.hop))
+    _transform(cfg, n_frames, spec=sources, out=out, signals=signals)
+    if _signals is not None:
+        _signals.extend(signals.reshape(len(sources), -1))
     return out.transpose(0, 2, 1).reshape(spec.shape)

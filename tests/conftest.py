@@ -31,3 +31,13 @@ def random_sources(rng, cfg, n_sources=2, n_samples=800):
 def random_phase(rng, spec):
     """Scramble phases, keeping magnitudes; generically inconsistent."""
     return np.abs(spec) * np.exp(1j * rng.uniform(0, 2 * np.pi, spec.shape))
+
+
+@pytest.fixture
+def thread_budget():
+    """``spectral._set_threads``, with the budget restored after the test."""
+    from specinv import spectral
+
+    before = spectral._threads
+    yield spectral._set_threads
+    spectral._set_threads(before)

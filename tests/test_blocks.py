@@ -174,3 +174,19 @@ def test_step_check_finds_each_non_finite_value(monkeypatch, value, frame, part)
     with pytest.raises(FloatingPointError, match="non-finite estimate produced"):
         run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG, record_losses=False)
     assert sum(offsets) == min(41, (frame // 7 + 1) * 7)  # raised at the poisoned block
+
+
+@pytest.mark.parametrize("record_losses", (True, False))
+@pytest.mark.parametrize("family", list(Family))
+def test_run_same_at_1_and_2_threads(thread_budget, family, record_losses):
+    mixture, mags = _problem(2)
+    for sigma in (0.0, 1.0, SIGMA_INF):
+        spec = AlgorithmSpec(family, sigma, "magratio", ITERATIONS)
+        traces = []
+        for threads in (1, 2):
+            thread_budget(threads)
+            traces.append(run(spec, mixture, mags, CFG, record_losses=record_losses))
+        one, two = traces
+        assert np.array_equal(_bits(one.estimates), _bits(two.estimates)), sigma
+        for name in LOSSES:
+            assert np.array_equal(_bits(getattr(one, name)), _bits(getattr(two, name))), (sigma, name)

@@ -1,12 +1,18 @@
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specinv import algorithms, experiment
+from specinv import algorithms, experiment, spectral
 from specinv.algorithms import SIGMA_INF, Family
 from specinv.experiment import (
     CSV_HEADER,
@@ -23,6 +29,13 @@ from specinv.experiment import (
     usable_cpus,
 )
 from specinv.synth import generate_dataset
+
+
+def _report_g_threads(task):
+    """A sweep task's stand-in that reports G's thread budget and the threads alive after a G."""
+    spectral.g_operator(np.ones((33, 40), complex), spectral.StftConfig(64, 16, 8000))
+    label = f"budget {spectral._threads}, threads {threading.active_count()}"
+    return [ItemRecord("am", 0.0, 0, 0.0, 0.0, "validation", label, 0.0, 0.0)], None
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +178,52 @@ class TestJobs:
 
     def test_usable_cpus_within_cpu_count(self):
         assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="one CPU: no worker process")
+    def test_each_worker_process_gets_its_share_of_the_cpus(self, monkeypatch):
+        # One worker per CPU: each worker's G runs in its calling thread alone.
+        monkeypatch.setattr(experiment, "_process_item_safe", _report_g_threads)
+        table = experiment._run_tasks(list(range(usable_cpus())), jobs=usable_cpus())
+        assert [r.item_id for r in table.records] == ["budget 1, threads 1"] * usable_cpus()
+
+    def test_processes_forked_after_g_ran_in_the_parent(self, tmp_path):
+        # G's pool threads exist in the parent only; a forked process whose G
+        # sent a range to the parent's pool would never return, hence the timeout.
+        script = textwrap.dedent(f"""
+            import os
+            import numpy as np
+            from specinv import experiment, spectral
+            from specinv.algorithms import SIGMA_INF
+            from specinv.experiment import SweepConfig, run_benchmark
+            from specinv.synth import generate_dataset
+
+            spectral._set_threads(2)
+            spectral.g_operator(np.ones((33, 8), complex), spectral.StftConfig(64, 16, 8000))
+            pid = os.fork()  # a bare fork, without the sweep's initializer
+            if pid == 0:
+                spectral.g_operator(np.ones((33, 8), complex), spectral.StftConfig(64, 16, 8000))
+                os._exit(0)
+            assert os.waitpid(pid, 0)[1] == 0
+            experiment.usable_cpus = lambda: 4  # so each of 2 workers splits G in 2
+            manifest = generate_dataset({str(tmp_path)!r} + "/data", n_validation=2, n_test=1,
+                                        seed=3, duration=0.5, noise_duration=0.8)
+            for jobs in (1, 2):
+                run_benchmark(SweepConfig(manifest=str(manifest), output_dir={str(tmp_path)!r} + f"/out{{jobs}}",
+                                          sigma_grid=[0.0, 1.0, SIGMA_INF], max_iterations=3,
+                                          degradation_levels=[0.0, 0.5], jobs=jobs, record_timing=False))
+        """)
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True) as proc:
+            try:
+                returncode = proc.wait(timeout=120)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # the hung processes too, not the script alone
+                raise
+        assert returncode == 0
+        for name in ("validation.csv", "test.csv"):
+            serial = (tmp_path / "out1" / name).read_bytes()
+            assert serial.count(b"\n") > 1 and (tmp_path / "out2" / name).read_bytes() == serial
 
     def test_default_jobs_matches_serial(self, tiny_config, tmp_path):
         outputs = []

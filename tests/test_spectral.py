@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specinv import StftConfig, g_operator, istft, stft
+from specinv import StftConfig, g_operator, istft, spectral, stft
+from specinv.spectral import tf_layout
 from specinv.losses import inconsistency
 
 from conftest import random_phase
@@ -181,3 +184,57 @@ class TestBatchedGOperator:
     def test_rejects_bad_shapes(self, small_cfg, shape):
         with pytest.raises(ValueError):
             g_operator(np.zeros(shape, complex), small_cfg)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestThreadCountInvariance:
+    """Each thread's frame range recomputes its halo of overlapping frames,
+    so no output may depend on the number of threads."""
+
+    # The dense oracle's configs (window/hop 4, 6 and 5), then two more.
+    @pytest.mark.parametrize("window,hop", [(16, 4), (24, 4), (25, 5), (64, 16), (48, 8)])
+    # T = window/hop + extra frames: T = window/hop is the fewest that span a
+    # sample, and every T up to window/hop + 5 is under 3 threads x halo
+    # (halo = window/hop - 1 frames).
+    @pytest.mark.parametrize("extra", [0, 1, 2, 5, 40])
+    def test_bit_identical_at_1_2_3_threads(self, thread_budget, window, hop, extra):
+        cfg = StftConfig(window_length=window, hop=hop, sample_rate=8000)
+        n_frames = window // hop + extra
+        n = cfg.max_samples(n_frames)
+        rng = np.random.default_rng(n_frames)
+        x = rng.standard_normal(n)
+        specs = tf_layout(random_phase(rng, rng.uniform(0.1, 1.0, (3, cfg.n_bins, n_frames))))
+        results = []
+        for threads in (1, 2, 3):
+            thread_budget(threads)
+            bits = [_bits(stft(x, cfg)), _bits(istft(specs[0], cfg, n))]
+            for spec in (specs[0], specs[:1], specs[:2], specs):  # J = 1 (one F x T), 1, 2, 3
+                signals = []
+                bits.append(_bits(g_operator(spec, cfg, _signals=signals)))
+                bits.extend(_bits(s) for s in signals)
+            results.append(bits)
+        assert stft(x, cfg).shape[1] == n_frames and len(results[0]) == 2 + 4 + 1 + 1 + 2 + 3
+        for bits in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(bits, results[0], strict=True))
+
+    def test_error_in_a_worker_range_reaches_the_caller(self, thread_budget, monkeypatch, small_cfg, rng):
+        class RangeError(Exception):
+            pass
+
+        frame_range = spectral._frame_range
+        ran_in = []
+
+        def failing(*args):
+            ran_in.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                raise RangeError("worker range")
+            return frame_range(*args)
+
+        monkeypatch.setattr(spectral, "_frame_range", failing)
+        thread_budget(2)
+        with pytest.raises(RangeError, match="worker range"):
+            g_operator(random_phase(rng, stft(rng.standard_normal(500), small_cfg)), small_cfg)
+        assert len(ran_in) == 2 and threading.main_thread() in ran_in
