@@ -179,7 +179,7 @@ def _transform(cfg: StftConfig, n_frames: int, spec=None, buf=None, out=None, si
     bounds = [n_frames * i // n for i in range(n + 1)]
     run = partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames).reshape(-1, cfg.hop), spec, buf, out, signals)
     ranges = [(a, b, np.empty((min(n_frames, b + h) - max(0, a - h), cfg.window_length)),
-               np.empty((b - a + h, cfg.hop))) for a, b in zip(bounds, bounds[1:])]
+               None if spec is None else np.empty((b - a + h, cfg.hop))) for a, b in zip(bounds, bounds[1:])]
     futures = [_pool.submit(run, *r) for r in ranges[1:]]
     try:
         run(*ranges[0])
