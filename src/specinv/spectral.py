@@ -25,6 +25,7 @@ bit, on the thread count.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -39,13 +40,13 @@ def usable_cpus() -> int:
 
 
 def _set_threads(n: int) -> None:
-    """Split each transform into ``n`` frame ranges, for this thread and a new pool of
-    ``n - 1`` (threads start on first use)."""
+    """Split each transform into ``n`` frame ranges: the calling thread's and a new pool's ``n - 1``."""
     global _threads, _pool
     _threads, _pool = n, ThreadPoolExecutor(max(1, n - 1))
 
 
 _set_threads(usable_cpus())
+_scratch = threading.local()
 # The parent's pool threads are not in a forked child: a task sent to them would never run.
 os.register_at_fork(after_in_child=lambda: _set_threads(_threads))
 
@@ -53,15 +54,6 @@ os.register_at_fork(after_in_child=lambda: _set_threads(_threads))
 def hann_periodic(n: int) -> np.ndarray:
     """Periodic (DFT-even) Hann window of length ``n``."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def _window_sq_sum(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
-    """Overlap-add of the squared window over ``n_frames`` frames ``hop`` apart."""
-    acc = np.zeros((n_frames - 1) * hop + window.size)
-    sq = window**2
-    for t in range(n_frames):
-        acc[t * hop : t * hop + window.size] += sq
-    return acc
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class StftConfig:
     def _check_cola(self):
         # Overlap-add the squared window over a few periods and require a
         # constant sum on the interior span.
-        acc = _window_sq_sum(self.window, self.hop, 4 * (self.window_length // self.hop))
+        acc = _ola_window_sq(self, 4 * (self.window_length // self.hop)).ravel()
         interior = acc[self.pad : acc.size - self.pad]
         ref = interior[0]
         if ref <= 0 or np.max(np.abs(interior - ref)) > 1e-10 * ref:
@@ -144,11 +136,10 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
 
 
 def _frame_range(cfg, ola, spec, buf, out, signals, a, b, frames, acc):
-    """Frames [a, b) of every source, with rows [a, b + h) of its padded signal
-    overlap-added from ``spec`` (J, T, F) into ``acc`` or read from ``buf``
-    (J, T + h, hop).  Writes the rows in [h, T) to ``signals`` (J, T - h, hop)
-    and the frames' ``rfft`` to ``out`` (J, T, F), where not None.  Runs in
-    pool threads, so it calls numpy only and allocates no buffer."""
+    """Frames [a, b) of every source, from rows [a, b + h) of its padded signal: overlap-added
+    from ``spec`` (J, T, F) into ``acc``, or read from ``buf`` (J, T + h, hop).  Writes rows
+    [h, T) to ``signals`` (J, T - h, hop) and the frames' ``rfft`` to ``out`` (J, T, F), where
+    not None.  Runs in pool threads: numpy calls only, into the caller's buffers."""
     ratio, h, n_frames = cfg.window_length // cfg.hop, cfg.pad // cfg.hop, len(ola) - cfg.pad // cfg.hop
     lo = max(0, a - h)
     for j in range(len(spec if buf is None else buf)):
@@ -177,9 +168,14 @@ def _transform(cfg: StftConfig, n_frames: int, spec=None, buf=None, out=None, si
     h = cfg.pad // cfg.hop
     n = min(_threads, n_frames)
     bounds = [n_frames * i // n for i in range(n + 1)]
-    run = partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames).reshape(-1, cfg.hop), spec, buf, out, signals)
-    ranges = [(a, b, np.empty((min(n_frames, b + h) - max(0, a - h), cfg.window_length)),
-               None if spec is None else np.empty((b - a + h, cfg.hop))) for a, b in zip(bounds, bounds[1:])]
+    rows = -(-n_frames // n) + 2 * h  # the most frames, or signal rows, that one range needs
+    # Each calling thread keeps its scratch: new buffers would cost a page fault per page per call.
+    if getattr(_scratch, "buf", np.empty(0)).size < (size := n * rows * (cfg.window_length + cfg.hop)):
+        _scratch.buf = np.empty(size)
+    frames, accs = (a.reshape(n, rows, -1) for a in np.split(_scratch.buf[:size], [n * rows * cfg.window_length]))
+    run = partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), spec, buf, out, signals)
+    ranges = [(a, b, frames[i, : min(n_frames, b + h) - max(0, a - h)], accs[i, : b - a + h])
+              for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     futures = [_pool.submit(run, *r) for r in ranges[1:]]
     try:
         run(*ranges[0])
@@ -206,7 +202,11 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _ola_window_sq(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    acc = _window_sq_sum(cfg.window, cfg.hop, n_frames)
+    """Overlap-add of the squared window over ``n_frames`` frames, in rows of ``hop``; 1 where it is 0."""
+    acc = np.zeros((n_frames + cfg.pad // cfg.hop, cfg.hop))
+    sq = (cfg.window**2).reshape(-1, cfg.hop)
+    for t in range(n_frames):
+        acc[t : t + len(sq)] += sq
     acc[acc <= 1e-300] = 1.0
     acc.setflags(write=False)
     return acc

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -219,6 +220,28 @@ class TestThreadCountInvariance:
         assert stft(x, cfg).shape[1] == n_frames and len(results[0]) == 2 + 4 + 1 + 1 + 2 + 3
         for bits in results[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(bits, results[0], strict=True))
+
+    def test_concurrent_callers_keep_their_own_scratch(self, thread_budget, small_cfg, rng):
+        # Each calling thread reuses its own scratch; callers that shared one would mix their frames.
+        specs = [random_phase(rng, stft(rng.standard_normal(n), small_cfg)) for n in (300, 700, 1100)]
+        expected = [_bits(g_operator(s, small_cfg)) for s in specs]
+        thread_budget(2)
+        results, interval = {}, sys.getswitchinterval()
+
+        def call(i):
+            results[i] = [_bits(g_operator(specs[i % 3], small_cfg)) for _ in range(30)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert all(np.array_equal(r, expected[i % 3]) for i in range(6) for r in results[i])
 
     def test_error_in_a_worker_range_reaches_the_caller(self, thread_budget, monkeypatch, small_cfg, rng):
         class RangeError(Exception):
