@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specinv import StftConfig, stft
+from specinv import StftConfig, spectral, stft
 
 
 @pytest.fixture
@@ -36,8 +36,6 @@ def random_phase(rng, spec):
 @pytest.fixture
 def thread_budget():
     """``spectral._set_threads``, with the budget restored after the test."""
-    from specinv import spectral
-
     before = spectral._threads
     yield spectral._set_threads
     spectral._set_threads(before)
