@@ -5,9 +5,10 @@ For a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources, oracle
 magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
 ``stft``, ``istft``, G on one source (``g_operator``) and on the source set
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
-family (sigma 1 where the family has one; each timed call is one pass of
-``run``'s block loop without losses: G(S) once, then for each frame block
-the step, its finiteness check and its write over that block of G) and one
+family (sigma 1 where the family has one; each timed call is G(S) once,
+then ``run``'s own pass over the frame blocks without losses: for each block
+the step, its finiteness check and its write over that block of G, with the
+blocks split over G's threads) and one
 20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses
 recorded.  On the 4 s clip it also times a ``run`` of every family as
 ``specinv separate`` runs it (losses recorded, magnitude-ratio weights,
@@ -66,8 +67,6 @@ CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
 RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long; a sweep task ~560
 ROOT = Path(__file__).resolve().parent.parent
-# run's per-block finiteness check; a checkout older than it used this one.
-_all_finite = getattr(algorithms, "_all_finite", lambda block: np.all(np.isfinite(block)))
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -80,16 +79,25 @@ def median_ms(fn, repeats: int) -> float:
     return round(statistics.median(times) * 1e3, 3)
 
 
-def blocked_step(step, sources, mixture, mags, weights, cfg):
-    """One step at sigma 1 as ``run`` applies it: G(S), then the step block by block, written over G."""
-    cons = spectral.g_operator(sources, cfg, check_finite=False)
+def _serial_block_pass(step, sources, mixture, mags, weights, sigma, cons, cfg):
+    """``run``'s block pass without losses, as a checkout older than ``algorithms._block_pass`` ran it."""
+    all_finite = getattr(algorithms, "_all_finite", lambda block: np.all(np.isfinite(block)))
     for b in algorithms.frame_blocks(sources.shape):
         s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
-        block = step(s, x, v, w, 1.0, z)
-        if not _all_finite(block):
+        block = step(s, x, v, w, sigma, z)
+        if not all_finite(block):
             raise FloatingPointError("non-finite estimate produced")
         cons[..., b] = block
-    return cons
+    return cons, None
+
+
+_block_pass = getattr(algorithms, "_block_pass", _serial_block_pass)
+
+
+def blocked_step(step, sources, mixture, mags, weights, cfg):
+    """One step at sigma 1 as ``run`` applies it: G(S), then ``run``'s block pass, without losses."""
+    cons = spectral.g_operator(sources, cfg, check_finite=False)
+    return _block_pass(step, sources, mixture, mags, weights, 1.0, cons, cfg)[0]
 
 
 def problem(seconds: float, cfg: spectral.StftConfig):
@@ -231,7 +239,8 @@ def machine() -> dict[str, object]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "nproc": cpus,
-        "g_threads": getattr(spectral, "_threads", 1),  # frame ranges per G; 1 before G had threads
+        # Ranges per G and per run's block pass (one budget); 1 before G had threads.
+        "g_threads": getattr(spectral, "_threads", 1),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -21,7 +21,7 @@ import numpy as np
 from .losses import inconsistency, magnitude_mismatch, mixing_error
 # p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
 from .projectors import _p_mag, _p_mix, _weights_magnitude_ratio, p_cons, unit_phasor
-from .spectral import StftConfig, g_operator, tf_layout
+from .spectral import StftConfig, _fan_out, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
 __all__ = [
@@ -154,10 +154,8 @@ def frame_blocks(shape: tuple[int, ...]):
 
 # The steps share one signature, so ``run`` calls every family alike.  They
 # are the paper's formulas, bin by bin, on the projectors' unchecked kernels:
-# ``run`` validates its inputs once and applies a step one frame block at a
-# time (``frame_blocks``), after that block's losses, then checks the
-# block's result for non-finite values and writes it over the block of G.
-# ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
+# ``run`` validates its inputs once and applies a step per frame block, each
+# result checked (``_block_pass``).  ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
 # the family's Lambda, an array of that shape or the scalar 1/J (``run``
 # passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the
 # consistent image ``p_cons(sources, cfg)``, or None where neither the
@@ -227,6 +225,39 @@ def step_mag_incons_hardmix(sources, mixture, mags, weights, sigma: float, cons)
     return _p_mix(w, mixture, weights)
 
 
+def _block_pass(step, sources, mixture, mags, weights, sigma, cons, cfg, k=0, record_losses=False):
+    """Iterate k's pass over the frame blocks (see ``run``): the step's result, written over ``cons``
+    (a new array where that is None), and the three loss sums (zeros where not recorded)."""
+    blocks = list(frame_blocks(sources.shape))
+    out = np.empty_like(sources) if cons is None else cons
+
+    def blocks_of(i, first, stop):  # in a pool thread, but for the first range
+        records, partial = [], (0.0, 0.0, 0.0)
+        for b in blocks[first:stop]:
+            s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
+            losses = ((mixing_error(s, x), inconsistency(s, cfg, z), magnitude_mismatch(s, v)) if record_losses
+                      else (0.0, 0.0, 0.0))
+            partial = [t + loss for t, loss in zip(partial, losses)]
+            if not all(map(math.isfinite, partial)):
+                return records + [(losses, f"non-finite loss at iterate {k}")]
+            if step is not None:
+                block = step(s, x, v, w, sigma, z)
+                if not _all_finite(block):
+                    return records + [(losses, "non-finite estimate produced")]
+                out[..., b] = block
+            records.append((losses, None))
+        return records
+
+    sums = [0.0, 0.0, 0.0]
+    for losses, error in sum(_fan_out(blocks_of, len(blocks)), []):  # in frame order, as one thread stops
+        sums = [t + loss for t, loss in zip(sums, losses)]
+        if not all(map(math.isfinite, sums)):
+            raise FloatingPointError(f"non-finite loss at iterate {k}")
+        if error:
+            raise FloatingPointError(error)
+    return out, sums
+
+
 def run(
     spec: AlgorithmSpec,
     mixture: np.ndarray,
@@ -256,12 +287,18 @@ def run(
     iterate k as the work that produced S_k.  The observer must not mutate
     its arguments.
 
-    For each block, in frame order, ``run`` adds the block's three losses of
-    S_k to running sums and checks them, then applies the step, checks the
-    result and writes it over that block of G(S_k), which nothing reads
-    again.  A non-finite loss or iterate raises ``FloatingPointError``.  The
-    estimates are the same bit for bit as on whole arrays; each loss is
-    summed pairwise within a block, then the block sums in frame order.
+    The pass splits the blocks into contiguous ranges, one per thread of G's
+    budget: the calling thread takes the first, G's pool the others.  Each
+    thread takes its blocks in frame order: the block's three losses of S_k,
+    stopping at a non-finite partial sum, then the step, whose result is
+    checked and written over that block of G(S_k) (which nothing reads
+    again), stopping at a non-finite one.  The calling thread then replays
+    the blocks in frame order, adding their losses to running sums, and
+    raises ``FloatingPointError`` at the first non-finite sum or iterate, as
+    one thread would; blocks of later ranges may have been stepped by then.
+    The estimates are the same bit for bit as on whole arrays at any thread
+    count; each loss is summed pairwise within a block, then the block sums
+    in frame order.
     """
     sources = tf_layout(init_amplitude_mask(mixture, mags))  # checks the arrays; their fit to cfg below
     mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
@@ -280,8 +317,7 @@ def run(
     n_steps = spec.iterations if rule.has_step else 0
     applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
 
-    recorded = []  # (mixing, inconsistency, magnitude) of each iterate
-    # One pass per iterate (see above); the last pass only records and observes.
+    recorded = []  # (mixing, inconsistency, magnitude) of each iterate; the last pass only records and observes
     for k in range(n_steps + 1):
         stepping = k < n_steps
         needs_g = record_losses or (stepping and applies_g)
@@ -294,22 +330,8 @@ def run(
         signals = None  # free the signals before the block pass
         if not (stepping or record_losses):
             break
-        out = np.empty_like(sources) if cons is None else cons
-        sums = [0.0, 0.0, 0.0]
-        for b in frame_blocks(sources.shape):
-            s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
-            if record_losses:
-                sums[0] += mixing_error(s, x)
-                sums[1] += inconsistency(s, cfg, z)
-                sums[2] += magnitude_mismatch(s, v)
-                if not all(map(math.isfinite, sums)):
-                    raise FloatingPointError(f"non-finite loss at iterate {k}")
-            if stepping:
-                block = step(s, x, v, w, sigma, z)
-                if not _all_finite(block):
-                    raise FloatingPointError("non-finite estimate produced")
-                out[..., b] = block
-        s = None  # the last block's view of S_k would keep it alive through the next G
+        out, sums = _block_pass(step if stepping else None, sources, mixture, mags, weights, sigma, cons, cfg,
+                                k, record_losses)
         if record_losses:
             recorded.append(sums)
         if stepping:

@@ -71,13 +71,9 @@ def weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
 
 def _weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
     """``mags`` is trusted to be a J x F x T float array >= 0."""
-    floor = 1e-12 * mags.max() if mags.size else 0.0
-    n_sources = mags.shape[0]
     total = mags.sum(axis=0)
-    ok = total > floor
-    safe_total = np.where(ok, total, 1.0)
-    w = np.where(ok[None], mags / safe_total[None], 1.0 / n_sources)
-    return w
+    ok = total > (1e-12 * mags.max() if mags.size else 0.0)
+    return np.where(ok[None], mags / np.where(ok, total, 1.0)[None], 1.0 / mags.shape[0])
 
 
 def _p_mag(sources: np.ndarray, mags) -> np.ndarray:

@@ -14,12 +14,13 @@ of its frame-by-frame ``rfft``, and ``g_operator`` keeps that layout for an
 F x T spectrogram and, per source, for a J x F x T source set (memory
 (J, T, F)).  Other layouts are accepted everywhere; they are only slower.
 
-Threads: ``stft``, ``istft`` and ``g_operator`` split the frames into one
-contiguous range per usable CPU (a sweep worker: its share), run by the
-calling thread and a pool, as numpy's FFTs release the GIL.  Frame t spans
-signal rows [t, t + h] of ``hop`` samples, h = window/hop - 1, so each range
-redoes a halo of h frames per side and the output does not depend, bit for
-bit, on the thread count.
+Threads: ``stft``, ``istft``, ``g_operator`` and ``algorithms.run``'s block
+pass split the frames, or frame blocks, into one contiguous range per usable
+CPU (a sweep worker: its share), run by the calling thread and a pool
+(``_fan_out``), as numpy releases the GIL in its FFTs and array loops.
+Frame t spans signal rows [t, t + h] of ``hop`` samples, h = window/hop - 1,
+so each transform range redoes a halo of h frames per side, and no output
+depends, bit for bit, on the thread count.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ def usable_cpus() -> int:
 
 
 def _set_threads(n: int) -> None:
-    """Split each transform into ``n`` frame ranges: the calling thread's and a new pool's ``n - 1``."""
+    """Split each transform and block pass into ``n`` ranges: the calling thread's and a new pool's ``n - 1``."""
     global _threads, _pool
-    _threads, _pool = n, ThreadPoolExecutor(max(1, n - 1))
+    _threads, _pool = n, ThreadPoolExecutor(max(1, n - 1), initializer=setattr, initargs=(_scratch, "in_pool", True))
 
 
-_set_threads(usable_cpus())
 _scratch = threading.local()
+_set_threads(usable_cpus())
 # The parent's pool threads are not in a forked child: a task sent to them would never run.
 os.register_at_fork(after_in_child=lambda: _set_threads(_threads))
 
@@ -135,13 +136,14 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _frame_range(cfg, ola, spec, buf, out, signals, a, b, frames, acc):
+def _frame_range(cfg, ola, spec, buf, out, signals, frames, accs, i, a, b):
     """Frames [a, b) of every source, from rows [a, b + h) of its padded signal: overlap-added
-    from ``spec`` (J, T, F) into ``acc``, or read from ``buf`` (J, T + h, hop).  Writes rows
+    from ``spec`` (J, T, F) into ``accs[i]``, or read from ``buf`` (J, T + h, hop).  Writes rows
     [h, T) to ``signals`` (J, T - h, hop) and the frames' ``rfft`` to ``out`` (J, T, F), where
     not None.  Runs in pool threads: numpy calls only, into the caller's buffers."""
     ratio, h, n_frames = cfg.window_length // cfg.hop, cfg.pad // cfg.hop, len(ola) - cfg.pad // cfg.hop
     lo = max(0, a - h)
+    frames, acc = frames[i, : min(n_frames, b + h) - lo], accs[i, : b - a + h]
     for j in range(len(spec if buf is None else buf)):
         if buf is None:
             chunks = np.fft.irfft(spec[j, lo : b + h], n=cfg.window_length, axis=1, out=frames)
@@ -163,26 +165,31 @@ def _frame_range(cfg, ola, spec, buf, out, signals, a, b, frames, acc):
             np.fft.rfft(np.multiply(windows, cfg.window, out=frames[: b - a]), axis=1, out=out[j, a:b])
 
 
+def _fan_out(fn, n: int) -> list:
+    """``fn(i, a, b)`` for the i-th of ``min(_threads, n)`` contiguous ranges [a, b) of ``range(n)``, the
+    first here and the others in the pool; the results, or the first exception, in range order.  A pool
+    thread runs every range itself: a task it queued behind its caller's ranges would never start."""
+    parts = max(1, min(_threads, n))
+    ranges = [(i, n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    here = parts if getattr(_scratch, "in_pool", False) else 1
+    futures = [_pool.submit(fn, *r) for r in ranges[here:]]
+    try:
+        results = [fn(*r) for r in ranges[:here]]
+    finally:
+        wait(futures)
+    return results + [future.result() for future in futures]
+
+
 def _transform(cfg: StftConfig, n_frames: int, spec=None, buf=None, out=None, signals=None) -> None:
-    """``_frame_range`` over ``_threads`` ranges of the frames: the first here, the others in the pool."""
+    """``_frame_range`` over the ranges of ``_fan_out``, each with its part of the calling thread's scratch."""
     h = cfg.pad // cfg.hop
     n = min(_threads, n_frames)
-    bounds = [n_frames * i // n for i in range(n + 1)]
     rows = -(-n_frames // n) + 2 * h  # the most frames, or signal rows, that one range needs
     # Each calling thread keeps its scratch: new buffers would cost a page fault per page per call.
     if getattr(_scratch, "buf", np.empty(0)).size < (size := n * rows * (cfg.window_length + cfg.hop)):
         _scratch.buf = np.empty(size)
     frames, accs = (a.reshape(n, rows, -1) for a in np.split(_scratch.buf[:size], [n * rows * cfg.window_length]))
-    run = partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), spec, buf, out, signals)
-    ranges = [(a, b, frames[i, : min(n_frames, b + h) - max(0, a - h)], accs[i, : b - a + h])
-              for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    futures = [_pool.submit(run, *r) for r in ranges[1:]]
-    try:
-        run(*ranges[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), spec, buf, out, signals, frames, accs), n_frames)
 
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:

@@ -8,6 +8,11 @@ and the losses to 1e-14 relative.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,21 +156,36 @@ def test_loss_record_checks_every_block(monkeypatch):
         run(spec, mixture, mags, CFG)
 
 
+def _start_in(whole, block):
+    """The frame of ``whole`` at which ``block``, a frame block of it, starts."""
+    return next(t for t in range(whole.shape[-1]) if np.array_equal(whole[..., t], block[..., 0]))
+
+
+def _ranges(n_blocks, threads):
+    """The block ranges [a, b) of a pass at ``threads`` threads: ``spectral._fan_out``'s split."""
+    parts = min(threads, n_blocks)
+    return [(n_blocks * i // parts, n_blocks * (i + 1) // parts) for i in range(parts)]
+
+
+@pytest.mark.parametrize("threads", (1, 2))
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=("nan", "+inf", "-inf"))
 @pytest.mark.parametrize("frame", [0, 20, 40], ids=("first", "middle", "last"))
 @pytest.mark.parametrize("part", ["real", "imag"])
-def test_step_check_finds_each_non_finite_value(monkeypatch, value, frame, part):
+def test_step_check_finds_each_non_finite_value(monkeypatch, thread_budget, threads, value, frame, part):
     # Blocks of 7 over 41 frames: frame 0 is in the first, 20 in the third and
     # 40 in the ragged sixth.  One poisoned entry anywhere fails the check.
+    # The step is handed blocks of S_0 (one iteration), which locate them.
+    thread_budget(threads)
     mixture, mags = _problem(2)
     _set_width(monkeypatch, mags.shape, 7)
+    s0 = tf_layout(algorithms.init_amplitude_mask(mixture, mags))
     real_step = algorithms.step_misi
-    offsets = []
+    stepped = []
 
     def poisoned(sources, *args):
         out = real_step(sources, *args)
-        start = sum(offsets)
-        offsets.append(out.shape[-1])
+        start = _start_in(s0, sources)
+        stepped.append(start // 7)
         if start <= frame < start + out.shape[-1]:
             getattr(out[1, 3:4, frame - start], part)[...] = value
         return out
@@ -173,20 +193,91 @@ def test_step_check_finds_each_non_finite_value(monkeypatch, value, frame, part)
     monkeypatch.setattr(algorithms, "step_misi", poisoned)
     with pytest.raises(FloatingPointError, match="non-finite estimate produced"):
         run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG, record_losses=False)
-    assert sum(offsets) == min(41, (frame // 7 + 1) * 7)  # raised at the poisoned block
+    # Each range steps its blocks in frame order, up to and including the
+    # poisoned one and none after it; one thread is one range.
+    p = frame // 7
+    want = [i for a, b in _ranges(6, threads) for i in range(a, p + 1 if a <= p < b else b)]
+    assert sorted(stepped) == want
+    if threads == 1:
+        assert stepped == want
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("first", ("step", "loss"))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_non_finite_in_frame_order_is_raised(monkeypatch, thread_budget, threads, first):
+    # One poisoned step result and one infinite loss, in the first block and
+    # in the last, ragged one (the last range at any budget): whichever comes
+    # first in frame order is raised, as one thread would find it.
+    thread_budget(threads)
+    mixture, mags = _problem(2)
+    _set_width(monkeypatch, mags.shape, 7)
+    s0 = tf_layout(algorithms.init_amplitude_mask(mixture, mags))
+    step_frame, loss_frame = (0, 35) if first == "step" else (35, 0)
+    real_step, real_loss = algorithms.step_misi, algorithms.mixing_error
+
+    def step(sources, *args):
+        out = real_step(sources, *args)
+        if _start_in(s0, sources) == step_frame:
+            out[0, 0, 0] = np.nan
+        return out
+
+    def loss(sources, mixture):
+        return np.inf if _start_in(s0, sources) == loss_frame else real_loss(sources, mixture)
+
+    monkeypatch.setattr(algorithms, "step_misi", step)
+    monkeypatch.setattr(algorithms, "mixing_error", loss)
+    message = "non-finite estimate produced" if first == "step" else "non-finite loss at iterate 0"
+    with pytest.raises(FloatingPointError, match=message):
+        run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG)
+
+
+@pytest.mark.parametrize("threads", (2, 3))
+def test_step_that_calls_g_in_a_pool_thread(threads):
+    # A pool thread's G must not queue ranges behind its own: with every pool
+    # thread waiting, none would start.  A hang fails at the timeout.
+    script = textwrap.dedent(f"""
+        import numpy as np
+        from specinv import algorithms, spectral
+        from specinv.projectors import p_cons
+        from tests.test_blocks import CFG, _problem
+
+        spectral._set_threads({threads})
+        mixture, mags = _problem(2)
+        algorithms._BLOCK_BYTES = 16 * 2 * 33 * 7
+        real_step = algorithms.step_misi
+        algorithms.step_misi = lambda sources, *args: real_step(p_cons(sources, CFG), *args)
+        trace = algorithms.run(algorithms.AlgorithmSpec("misi", iterations=2), mixture, mags, CFG)
+        assert np.all(np.isfinite(trace.estimates))
+    """)
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), str(root),
+                                                                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("record_losses", (True, False))
 @pytest.mark.parametrize("family", list(Family))
-def test_run_same_at_1_and_2_threads(thread_budget, family, record_losses):
+def test_run_same_at_1_and_2_threads(monkeypatch, thread_budget, family, record_losses):
+    # And at 3: blocks of 7 over 41 frames make 6 blocks, the last ragged, and
+    # uneven ranges of them; the observer's signals must agree too.
     mixture, mags = _problem(2)
+    _set_width(monkeypatch, mags.shape, 7)
     for sigma in (0.0, 1.0, SIGMA_INF):
         spec = AlgorithmSpec(family, sigma, "magratio", ITERATIONS)
-        traces = []
-        for threads in (1, 2):
+        traces, observed = [], []
+        for threads in (1, 2, 3):
             thread_budget(threads)
-            traces.append(run(spec, mixture, mags, CFG, record_losses=record_losses))
-        one, two = traces
-        assert np.array_equal(_bits(one.estimates), _bits(two.estimates)), sigma
-        for name in LOSSES:
-            assert np.array_equal(_bits(getattr(one, name)), _bits(getattr(two, name))), (sigma, name)
+            seen = []
+            on_iterate = lambda k, s, signals, g_seconds: seen.append((k, None if signals is None else np.copy(signals)))
+            traces.append(run(spec, mixture, mags, CFG, on_iterate=on_iterate, record_losses=record_losses))
+            observed.append(seen)
+        one = traces[0]
+        for other, seen in zip(traces[1:], observed[1:]):
+            assert np.array_equal(_bits(one.estimates), _bits(other.estimates)), sigma
+            for name in LOSSES:
+                assert np.array_equal(_bits(getattr(one, name)), _bits(getattr(other, name))), (sigma, name)
+            assert [k for k, _ in seen] == [k for k, _ in observed[0]]
+            for (_, mine), (_, theirs) in zip(seen, observed[0]):
+                assert (mine is None and theirs is None) or np.array_equal(_bits(mine), _bits(theirs)), sigma
