@@ -231,7 +231,7 @@ def _process_item_safe(task: _ItemTask):
 def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
     workers = min(usable_cpus() if jobs is None else jobs, len(tasks))
     if workers > 1:
-        share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms
+        share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms and block passes
         with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,)) as pool:
             results = list(pool.map(_process_item_safe, tasks))
     else:
