@@ -152,15 +152,15 @@ def frame_blocks(shape: tuple[int, ...]):
     return (slice(t, t + width) for t in range(0, shape[-1], width))
 
 
-# The steps share one signature, so ``run`` calls every family alike.  They
-# are the paper's formulas, bin by bin, on the projectors' unchecked kernels:
-# ``run`` validates its inputs once and applies a step per frame block, each
-# result checked (``_block_pass``).  ``mags`` is trusted to be >= 0 and of the sources' shape.  ``weights`` is
-# the family's Lambda, an array of that shape or the scalar 1/J (``run``
-# passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the
-# consistent image ``p_cons(sources, cfg)``, or None where neither the
-# formula at this sigma nor the loss record needs it; only ``run`` computes
-# it.  A step ignores the arguments its formula does not use.
+# The steps share one signature, so ``run`` calls every family alike.  They are the
+# paper's formulas, bin by bin, on the projectors' unchecked kernels: ``run`` validates
+# its inputs once and applies a step per frame block, each result checked
+# (``_block_pass``).  ``mags`` is trusted to be >= 0 and of the sources' shape.
+# ``weights`` is the family's Lambda, an array of that shape or the scalar 1/J (``run``
+# passes 1/J to the rows with uniform weights).  ``cons`` is G(S), the consistent image
+# ``p_cons(sources, cfg)``, or None where neither the formula at this sigma nor the
+# loss record needs it; only ``run`` computes it.  A step ignores the arguments its
+# formula does not use.
 
 
 def _blend_in_place(y: np.ndarray, z: np.ndarray, weights, sigma: float) -> np.ndarray:
