@@ -20,7 +20,7 @@ import numpy as np
 
 from .losses import inconsistency, magnitude_mismatch, mixing_error
 # p_cons is unused here, but stays bound: perfbench's tracer test reads algorithms.p_cons.
-from .projectors import _p_mag, _p_mix, _weights_magnitude_ratio, p_cons, unit_phasor
+from .projectors import _as_magnitudes, _p_mag, _p_mix, _weights_magnitude_ratio, p_cons, unit_phasor
 from .spectral import StftConfig, _fan_out, g_operator, tf_layout
 
 # The step_* functions are internal: they skip the checks that run makes once.
@@ -110,7 +110,10 @@ class RunTrace:
     """Per-iteration losses plus the final estimates.
 
     Index 0 of each loss array is the amplitude-mask initialization, so the
-    arrays have ``iterations + 1`` entries.
+    arrays have ``iterations + 1`` entries.  ``signals`` is G's overlap-added
+    signal of each source of the estimates, ``istft(estimates[j], cfg,
+    cfg.max_samples(T))`` bit for bit, where ``run`` computed G of the
+    estimates: when it recorded the losses.  Otherwise it is None.
     """
 
     mixing: np.ndarray
@@ -120,6 +123,7 @@ class RunTrace:
     estimates: np.ndarray
     iterations: int
     warnings: list[str] = field(default_factory=list)
+    signals: list[np.ndarray] | None = None
 
 
 def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -129,15 +133,9 @@ def init_amplitude_mask(mixture: np.ndarray, mags: np.ndarray) -> np.ndarray:
     magnitudes with J >= 1, finite entries, magnitudes >= 0.
     """
     mixture = np.asarray(mixture, dtype=np.complex128)
-    mags = np.asarray(mags, dtype=np.float64)
-    if mags.ndim != 3 or mags.shape[1:] != mixture.shape or mags.shape[0] < 1:
-        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs mixture {mixture.shape} (J >= 1)")
+    mags = _as_magnitudes(mags, np.shape(mags)[:1] + mixture.shape)
     if not np.all(np.isfinite(mixture)):
         raise ValueError("mixture contains non-finite entries")
-    if not np.all(np.isfinite(mags)):
-        raise ValueError("magnitudes contain non-finite entries")
-    if np.any(mags < 0):
-        raise ValueError("invalid magnitude")
     return unit_phasor(mixture)[None] * mags
 
 
@@ -231,7 +229,7 @@ def _block_pass(step, sources, mixture, mags, weights, sigma, cons, cfg, k=0, re
     blocks = list(frame_blocks(sources.shape))
     out = np.empty_like(sources) if cons is None else cons
 
-    def blocks_of(i, first, stop):  # in a pool thread, but for the first range
+    def blocks_of(first, stop):  # in a pool thread, but for the first range
         records, partial = [], (0.0, 0.0, 0.0)
         for b in blocks[first:stop]:
             s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
@@ -276,16 +274,17 @@ def run(
 
     Iterate k is one pass: G(S_k) where the step or the loss record needs it
     (so recording the losses costs one extra G per run, at the last iterate),
-    then ``on_iterate(k, S_k, signals, g_seconds)``, then one pass over frame
+    then ``on_iterate(k, S_k, signals, seconds)``, then one pass over frame
     blocks (``frame_blocks``: about 512 KiB of the source set, so the
     temporaries stay in cache).  ``signals`` holds G's overlap-added signal
     of each source, ``cfg.max_samples(T)`` samples equal bit for bit to
     ``istft(S_k[j], cfg, cfg.max_samples(T))``, or is None where ``run``
     computes no G(S_k): a step without G at this sigma, and the last iterate
-    without losses.  ``g_seconds`` is the ``time.perf_counter`` time that
-    G(S_k) took (about 0 where there was none), so an observer can time
-    iterate k as the work that produced S_k.  The observer must not mutate
-    its arguments.
+    without losses.  ``seconds`` is ``run``'s own ``time.perf_counter`` time
+    up to S_k: since entry, less G(S_k) and the earlier observer calls.  So
+    iterate k covers the input checks, the initialization, k steps and the k
+    Gs that produced S_k.  The observer must not mutate its arguments.  The
+    trace keeps the last iterate's signals (``RunTrace.signals``).
 
     The pass splits the blocks into contiguous ranges, one per thread of G's
     budget: the calling thread takes the first, G's pool the others.  Each
@@ -300,6 +299,7 @@ def run(
     count; each loss is summed pairwise within a block, then the block sums
     in frame order.
     """
+    started = time.perf_counter()
     sources = tf_layout(init_amplitude_mask(mixture, mags))  # checks the arrays; their fit to cfg below
     mixture = tf_layout(np.asarray(mixture, dtype=np.complex128))
     mags = tf_layout(np.asarray(mags, dtype=np.float64))
@@ -321,14 +321,17 @@ def run(
     for k in range(n_steps + 1):
         stepping = k < n_steps
         needs_g = record_losses or (stepping and applies_g)
-        signals = [] if needs_g and on_iterate is not None else None
-        started = time.perf_counter()
+        signals = [] if needs_g and (on_iterate is not None or not stepping) else None
+        before_g = time.perf_counter()
         # Unchecked: the losses and every block of the step's result are checked instead.
         cons = g_operator(sources, cfg, check_finite=False, _signals=signals) if needs_g else None
         if on_iterate is not None:
-            on_iterate(k, sources, signals, time.perf_counter() - started)
-        signals = None  # free the signals before the block pass
-        if not (stepping or record_losses):
+            entered = time.perf_counter()
+            on_iterate(k, sources, signals, before_g - started)
+            started += time.perf_counter() - entered  # the observer's time is not run's
+        if stepping:
+            signals = None  # free the signals before the block pass
+        elif not record_losses:
             break
         out, sums = _block_pass(step if stepping else None, sources, mixture, mags, weights, sigma, cons, cfg,
                                 k, record_losses)
@@ -349,4 +352,5 @@ def run(
         estimates=sources,
         iterations=n_steps,
         warnings=warnings,
+        signals=signals,
     )

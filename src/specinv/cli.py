@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Thin adapters only: every numerical result comes from the library modules.
-Exit codes: 0 success, 2 I/O error, 3 usage/validation error, 4 numerical
-failure (an algorithm produced a non-finite estimate or loss).
+Exit codes: 0 success, 2 I/O or out-of-memory error, 3 usage/validation
+error, 4 numerical failure (an algorithm produced a non-finite estimate or
+loss).
 """
 
 from __future__ import annotations
@@ -124,18 +125,10 @@ def cmd_separate(args) -> int:
     mags = np.array([read_spectrogram(p).T for p in args.mags], dtype=np.float64).transpose(0, 2, 1)
     mixture_spec = stft(mixture.samples, cfg)
     family, sigma, iterations = _resolve_algo(args.algo, args.sigma, args.iters)
-    spec = AlgorithmSpec(family, sigma, args.weights, iterations)
-    # Recording the losses, run computes G(S_n) of the last iterate n, so the
-    # last signals it hands ``keep`` are the istft of the estimates.
-    final = []
-
-    def keep(k, sources, signals, g_seconds):
-        final[:] = signals
-
-    trace = algorithms.run(spec, mixture_spec, mags, cfg, on_iterate=keep)
+    trace = algorithms.run(AlgorithmSpec(family, sigma, args.weights, iterations), mixture_spec, mags, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for j, samples in enumerate(final, start=1):
+    for j, samples in enumerate(trace.signals, start=1):  # recording the losses, run computed G(S_n)
         write_wav(out / f"est_{j}.wav", TimeSignal(samples[: len(mixture)], mixture.sample_rate))
     losses = zip(trace.mixing, trace.inconsistency, trace.magnitude)
     lines = ["iteration,h,i,m"] + [f"{k},{h:.12e},{i:.12e},{m:.12e}" for k, (h, i, m) in enumerate(losses)]
@@ -148,6 +141,8 @@ def cmd_separate(args) -> int:
 def cmd_evaluate(args) -> int:
     ref = read_wav(args.ref)
     est = read_wav(args.est)
+    if ref.sample_rate != est.sample_rate:
+        raise ValueError(f"sample rates differ: reference {ref.sample_rate} Hz, estimate {est.sample_rate} Hz")
     print(f"{sdr(ref.samples, est.samples):.4f}")
     return EXIT_OK
 
@@ -181,7 +176,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

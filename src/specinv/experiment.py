@@ -11,7 +11,6 @@ regardless of worker count.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
@@ -198,24 +197,15 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
 
     records = []
     for spec, record_iters in task.jobs:
-        # The clock stops while the observer scores an iterate, so wall_ms
-        # times the algorithm alone.  Iterate k's speech signal comes from
-        # run's G(S_k) where run computed one, else from an istft probe.
-        # Iterate k's time leaves that G(S_k) out: it counts in iterate k+1,
-        # whose step uses it, so every row and iterate is timed alike.
-        start = time.perf_counter()
-        paused = 0.0
-
-        def observe(k, sources, signals, g_seconds):
-            nonlocal paused
-            entered = time.perf_counter()
+        # Iterate k's speech signal comes from run's G(S_k) where run computed
+        # one, else from an istft probe.  wall_ms is run's clock: it leaves out
+        # this observer and G(S_k), which counts in iterate k+1.
+        def observe(k, sources, signals, seconds):
             if k in record_iters:
-                elapsed = (entered - g_seconds - start - paused) * 1e3 if task.record_timing else 0.0
                 speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
-                value = sdr(clean.samples, speech)
-                records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level,
-                                          task.split, task.item_id, value, elapsed))
-            paused += time.perf_counter() - entered
+                records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level, task.split,
+                                          task.item_id, sdr(clean.samples, speech),
+                                          seconds * 1e3 if task.record_timing else 0.0))
 
         algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
     return records

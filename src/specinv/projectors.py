@@ -54,6 +54,19 @@ def _as_source_set(s) -> np.ndarray:
     return s
 
 
+def _as_magnitudes(mags, shape: tuple | None = None) -> np.ndarray:
+    """``mags`` as float64, checked (``ValueError``): J x F x T with J >= 1, of ``shape`` where
+    given, finite, >= 0."""
+    mags = np.asarray(mags, dtype=np.float64)
+    if mags.ndim != 3 or mags.shape[0] < 1 or mags.shape != (shape or mags.shape):
+        raise ValueError(f"shape mismatch: magnitudes {mags.shape} vs {shape or 'J x F x T'} (J >= 1)")
+    if not np.all(np.isfinite(mags)):
+        raise ValueError("magnitudes contain non-finite entries")
+    if np.any(mags < 0):
+        raise ValueError("invalid magnitude")
+    return mags
+
+
 def weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
     """Per-bin magnitude-ratio weights V_j / sum_k V_k.
 
@@ -61,12 +74,7 @@ def weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
     largest magnitude entry, fall back to the uniform 1/J split so the
     sum-to-one constraint holds everywhere.
     """
-    mags = np.asarray(mags, dtype=np.float64)
-    if mags.ndim != 3:
-        raise ValueError("magnitudes must be a J x F x T array")
-    if np.any(mags < 0):
-        raise ValueError("invalid magnitude")
-    return _weights_magnitude_ratio(mags)
+    return _weights_magnitude_ratio(_as_magnitudes(mags))
 
 
 def _weights_magnitude_ratio(mags: np.ndarray) -> np.ndarray:
@@ -88,12 +96,7 @@ def p_mag(sources: np.ndarray, mags: np.ndarray) -> np.ndarray:
     Zero-magnitude input bins get phase factor 1.
     """
     sources = _as_source_set(sources)
-    mags = np.asarray(mags, dtype=np.float64)
-    if mags.shape != sources.shape:
-        raise ValueError("shape mismatch between sources and magnitudes")
-    if np.any(mags < 0):
-        raise ValueError("invalid magnitude")
-    return _p_mag(sources, mags)
+    return _p_mag(sources, _as_magnitudes(mags, sources.shape))
 
 
 def p_cons(sources: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -122,4 +125,6 @@ def p_mix(sources: np.ndarray, mixture: np.ndarray, weights: np.ndarray) -> np.n
         raise ValueError("shape mismatch between sources and mixture")
     if weights.shape != sources.shape:
         raise ValueError("shape mismatch between sources and weights")
+    if not (np.all(np.isfinite(mixture)) and np.all(np.isfinite(weights))):
+        raise ValueError("mixture or weights contain non-finite entries")
     return _p_mix(sources, mixture, weights)

@@ -223,7 +223,8 @@ class DatasetManifest:
 
 # What each typed manifest value must be, checked where the manifest is read.
 _MANIFEST_VALUES = {
-    **dict.fromkeys(("sample_rate", "window_length", "hop", "seed"), (_is_int, "an integer")),
+    **dict.fromkeys(("sample_rate", "window_length", "hop"), (_is_int, "an integer")),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "isnr_db": (lambda v: _is_real(v) and _noise_gain(1.0, 1.0, v) is not None,  # as make_mixture, at unit powers
                 "a number whose noise gain 10^(-isnr_db/20) is finite and > 0"),
     **dict.fromkeys(("clean_path", "noise_path"),

@@ -20,7 +20,9 @@ CPU (a sweep worker: its share), run by the calling thread and a pool
 (``_fan_out``), as numpy releases the GIL in its FFTs and array loops.
 Frame t spans signal rows [t, t + h] of ``hop`` samples, h = window/hop - 1,
 so each transform range redoes a halo of h frames per side, and no output
-depends, bit for bit, on the thread count.
+depends, bit for bit, on the thread count.  Each thread, the caller's or the
+pool's, keeps the scratch of the ranges it runs between calls, sized for the
+largest range so far.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class StftConfig:
     """Parameters of the STFT pair.
 
     The FFT length is ``window_length``.  ``hop`` must divide
-    ``window_length``; the squared-window overlap-add sum must be constant
-    over interior samples (checked at construction).  Signals are
+    ``window_length`` at least 3 times, which is when the squared-window
+    overlap-add sum is constant over interior samples.  Signals are
     zero-padded by ``window_length - hop`` samples on both sides so every
     retained sample gets full window coverage.
     """
@@ -79,17 +81,11 @@ class StftConfig:
             raise ValueError("window_length and hop must be positive")
         if self.window_length % self.hop != 0:
             raise ValueError("hop must divide window_length")
+        # The squared periodic Hann window is 3/8 - cos(2 pi n/N)/2 + cos(4 pi n/N)/8: both cosines
+        # cancel in its overlap-add over N/hop >= 3 shifts, the second not over 2 (but at N = 2).
+        if self.window_length // self.hop < 3:
+            raise ValueError("window does not satisfy the COLA condition (window_length / hop must be >= 3)")
         object.__setattr__(self, "window", hann_periodic(self.window_length))
-        self._check_cola()
-
-    def _check_cola(self):
-        # Overlap-add the squared window over a few periods and require a
-        # constant sum on the interior span.
-        acc = _ola_window_sq(self, 4 * (self.window_length // self.hop)).ravel()
-        interior = acc[self.pad : acc.size - self.pad]
-        ref = interior[0]
-        if ref <= 0 or np.max(np.abs(interior - ref)) > 1e-10 * ref:
-            raise ValueError("window does not satisfy the COLA condition")
 
     @property
     def pad(self) -> int:
@@ -136,14 +132,18 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _frame_range(cfg, ola, spec, buf, out, signals, frames, accs, i, a, b):
+def _frame_range(cfg, ola, spec, buf, out, signals, a, b):
     """Frames [a, b) of every source, from rows [a, b + h) of its padded signal: overlap-added
-    from ``spec`` (J, T, F) into ``accs[i]``, or read from ``buf`` (J, T + h, hop).  Writes rows
-    [h, T) to ``signals`` (J, T - h, hop) and the frames' ``rfft`` to ``out`` (J, T, F), where
-    not None.  Runs in pool threads: numpy calls only, into the caller's buffers."""
+    from ``spec`` (J, T, F), or read from ``buf`` (J, T + h, hop).  Writes rows [h, T) to
+    ``signals`` (J, T - h, hop) and the frames' ``rfft`` to ``out`` (J, T, F), where not None.
+    Its scratch is the running thread's, kept between calls: new buffers would cost a page
+    fault per page per call."""
     ratio, h, n_frames = cfg.window_length // cfg.hop, cfg.pad // cfg.hop, len(ola) - cfg.pad // cfg.hop
-    lo = max(0, a - h)
-    frames, acc = frames[i, : min(n_frames, b + h) - lo], accs[i, : b - a + h]
+    lo, most = max(0, a - h), b - a + 2 * h  # the most frames, or signal rows, that the range needs
+    if getattr(_scratch, "buf", np.empty(0)).size < (size := most * (cfg.window_length + cfg.hop)):
+        _scratch.buf = np.empty(size)
+    frames, acc = (x.reshape(most, -1) for x in np.split(_scratch.buf[:size], [most * cfg.window_length]))
+    frames, acc = frames[: min(n_frames, b + h) - lo], acc[: b - a + h]
     for j in range(len(spec if buf is None else buf)):
         if buf is None:
             chunks = np.fft.irfft(spec[j, lo : b + h], n=cfg.window_length, axis=1, out=frames)
@@ -166,11 +166,11 @@ def _frame_range(cfg, ola, spec, buf, out, signals, frames, accs, i, a, b):
 
 
 def _fan_out(fn, n: int) -> list:
-    """``fn(i, a, b)`` for the i-th of ``min(_threads, n)`` contiguous ranges [a, b) of ``range(n)``, the
-    first here and the others in the pool; the results, or the first exception, in range order.  A pool
+    """``fn(a, b)`` for each of ``min(_threads, n)`` contiguous ranges [a, b) of ``range(n)``, the first
+    here and the others in the pool; the results, or the first exception, in range order.  A pool
     thread runs every range itself: a task it queued behind its caller's ranges would never start."""
     parts = max(1, min(_threads, n))
-    ranges = [(i, n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+    ranges = [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
     here = parts if getattr(_scratch, "in_pool", False) else 1
     futures = [_pool.submit(fn, *r) for r in ranges[here:]]
     try:
@@ -178,18 +178,6 @@ def _fan_out(fn, n: int) -> list:
     finally:
         wait(futures)
     return results + [future.result() for future in futures]
-
-
-def _transform(cfg: StftConfig, n_frames: int, spec=None, buf=None, out=None, signals=None) -> None:
-    """``_frame_range`` over the ranges of ``_fan_out``, each with its part of the calling thread's scratch."""
-    h = cfg.pad // cfg.hop
-    n = min(_threads, n_frames)
-    rows = -(-n_frames // n) + 2 * h  # the most frames, or signal rows, that one range needs
-    # Each calling thread keeps its scratch: new buffers would cost a page fault per page per call.
-    if getattr(_scratch, "buf", np.empty(0)).size < (size := n * rows * (cfg.window_length + cfg.hop)):
-        _scratch.buf = np.empty(size)
-    frames, accs = (a.reshape(n, rows, -1) for a in np.split(_scratch.buf[:size], [n * rows * cfg.window_length]))
-    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), spec, buf, out, signals, frames, accs), n_frames)
 
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -203,7 +191,7 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     buf = np.zeros((1, n_frames + cfg.pad // cfg.hop, cfg.hop))
     buf.reshape(-1)[cfg.pad : cfg.pad + x.size] = x
     out = np.empty((1, n_frames, cfg.n_bins), dtype=np.complex128)
-    _transform(cfg, n_frames, buf=buf, out=out)
+    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), None, buf, out, None), n_frames)
     return out[0].T
 
 
@@ -229,7 +217,8 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
     if cfg.num_frames(out_len) != spec.shape[1]:
         raise ValueError("length mismatch")
     signal = np.empty((1, spec.shape[1] - cfg.pad // cfg.hop, cfg.hop))
-    _transform(cfg, spec.shape[1], spec=spec.T[None], signals=signal)
+    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, spec.shape[1]), spec.T[None], None, None, signal),
+             spec.shape[1])
     return signal.reshape(-1)[:out_len]
 
 
@@ -259,7 +248,7 @@ def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True, 
     sources = spec.reshape((-1,) + spec.shape[-2:]).swapaxes(1, 2)
     out = np.empty((len(sources), n_frames, cfg.n_bins), dtype=np.complex128)
     signals = None if _signals is None else np.empty((len(sources), n_frames - cfg.pad // cfg.hop, cfg.hop))
-    _transform(cfg, n_frames, spec=sources, out=out, signals=signals)
+    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), sources, None, out, signals), n_frames)
     if _signals is not None:
         _signals.extend(signals.reshape(len(sources), -1))
     return out.transpose(0, 2, 1).reshape(spec.shape)

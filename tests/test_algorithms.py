@@ -272,7 +272,7 @@ class TestRun:
             spec = AlgorithmSpec(family=Family.MAG_INCONS_HARDMIX, sigma=1.0, iterations=20)
             collected = []
             trace = run(spec, mixture, mags, small_cfg,
-                        on_iterate=lambda k, s, signals, g_seconds: collected.append(s.copy()))
+                        on_iterate=lambda k, s, signals, seconds: collected.append(s.copy()))
             # Descent over the mixing-feasible iterates (the AM init is not).
             comb = trace.combined[1:]
             slack = 1e-9 * np.maximum(np.abs(comb[:-1]), 1e-30)

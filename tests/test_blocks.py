@@ -106,7 +106,7 @@ def test_step_writes_its_result_over_cons(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MISI, iterations=3), mixture, mags, CFG,
-        on_iterate=lambda k, s, signals, g_seconds: iterates.append((s, s.copy(order="K"))))
+        on_iterate=lambda k, s, signals, seconds: iterates.append((s, s.copy(order="K"))))
     assert len(made) == 4  # G(S_0), G(S_1), G(S_2), and G(S_3) for the last loss record
     for k in (1, 2, 3):
         current, before = iterates[k][0], iterates[k - 1][1]
@@ -121,7 +121,7 @@ def test_sigma_0_row_without_losses_gets_fresh_arrays(monkeypatch):
     made = _spy_on_g(monkeypatch)
     iterates = []
     run(AlgorithmSpec(Family.MIX_INCONS, 0.0, "uniform", 3), mixture, mags, CFG,
-        on_iterate=lambda k, s, signals, g_seconds: iterates.append(s), record_losses=False)
+        on_iterate=lambda k, s, signals, seconds: iterates.append(s), record_losses=False)
     assert made == []  # the formula at sigma=0 has no G
     for before, current in zip(iterates, iterates[1:]):
         assert current.transpose(0, 2, 1).flags.c_contiguous  # (J, T, F) memory
@@ -281,7 +281,7 @@ def test_run_same_at_1_and_2_threads(monkeypatch, thread_budget, frequent_switch
         for threads in (1, 2, 3):
             thread_budget(threads)
             seen = []
-            observe = lambda k, s, signals, g_seconds: seen.append((k, signals and _bits(np.stack(signals)).tobytes()))
+            observe = lambda k, s, signals, seconds: seen.append((k, signals and _bits(np.stack(signals)).tobytes()))
             traces.append(run(spec, mixture, mags, CFG, on_iterate=observe, record_losses=record_losses))
             observed.append(seen)
         one = traces[0]

@@ -256,6 +256,14 @@ class TestSeparate:
                      "--algo", "misi", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
 
+    def test_window_too_large_to_allocate_exit_2(self, separation_setup, tmp_path, capsys):
+        # numpy refuses the 8 TiB window at once, without touching memory.
+        _, mix_path, mag_paths, _, _ = separation_setup
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *mag_paths, "--algo", "misi",
+                     "--window", "1099511627776", "--hop", "274877906944", "--out", str(tmp_path / "x")])
+        assert code == EXIT_IO
+        assert "allocate" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_identical_files(self, tmp_path, rng, capsys):
@@ -278,6 +286,15 @@ class TestEvaluate:
         write_wav(tmp_path / "e.wav", TimeSignal(rng.standard_normal(200), 16000))
         code = main(["evaluate", "--ref", str(tmp_path / "r.wav"), "--est", str(tmp_path / "e.wav")])
         assert code == EXIT_USAGE
+
+    def test_rate_mismatch_exit_3(self, tmp_path, rng, capsys):
+        x = rng.standard_normal(1000)
+        write_wav(tmp_path / "r.wav", TimeSignal(x, 16000))
+        write_wav(tmp_path / "e.wav", TimeSignal(x, 8000))
+        code = main(["evaluate", "--ref", str(tmp_path / "r.wav"), "--est", str(tmp_path / "e.wav")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "16000" in err and "8000" in err
 
 
 class TestBenchmark:
@@ -341,6 +358,8 @@ class TestBenchmark:
         ({"items": [{**ITEM, "clean_path": 3}]}, "clean_path"),
         ({"items": [{**ITEM, "noise_path": ""}]}, "noise_path"),
         ({"items": [{**ITEM, "isnr_db": 1e308}]}, "isnr_db"),
+        ({"items": [{**ITEM, "seed": -1}]}, "'seed' must be an integer >= 0"),
+        ({"items": [ITEM, {**ITEM, "seed": -1}]}, "item 1: 'seed'"),
     ])
     def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
         (tmp_path / "m.json").write_text(json.dumps(manifest))
@@ -371,6 +390,14 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_IO
         err = capsys.readouterr().err
         assert "16000" in err and "8000" in err
+
+    def test_window_too_large_to_allocate_exit_2(self, tmp_path, capsys):
+        # numpy refuses the 8 TiB window at once, without touching memory.
+        manifest = {"items": [self.ITEM], "window_length": 1099511627776, "hop": 274877906944}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        (tmp_path / "cfg.json").write_text(json.dumps({"manifest": "m.json", "output_dir": "out"}))
+        assert main(["benchmark", "--config", str(tmp_path / "cfg.json")]) == EXIT_IO
+        assert "allocate" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == EXIT_IO

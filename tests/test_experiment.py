@@ -357,31 +357,21 @@ class TestItemFailures:
 class TestWallTime:
     @staticmethod
     def _wall_ms(tiny_config, monkeypatch, g_cost):
-        # A fake clock: each algorithm iterate takes 1 s, each G g_cost s,
-        # each SDR probe 1000 s.  misi, 4 iterations, no losses.
+        # A fake clock: the initialization and each pass of steps take 1 s,
+        # each G g_cost s, each SDR probe 1000 s.  misi, 4 iterations, no losses.
         clock = [0.0]
-        real_run, real_sdr, real_g = algorithms.run, experiment.sdr, algorithms.g_operator
 
-        def ticking_run(spec, mixture, mags, cfg, on_iterate, record_losses):
-            def tick(k, sources, signals, g_seconds):
-                clock[0] += 1.0
-                on_iterate(k, sources, signals, g_seconds)
-            return real_run(spec, mixture, mags, cfg, on_iterate=tick, record_losses=record_losses)
+        def costing(seconds, fn):
+            def slow(*args, **kwargs):
+                clock[0] += seconds
+                return fn(*args, **kwargs)
+            return slow
 
-        def slow_g(*args, **kwargs):
-            clock[0] += g_cost
-            return real_g(*args, **kwargs)
-
-        def slow_sdr(ref, est):
-            clock[0] += 1000.0
-            return real_sdr(ref, est)
-
-        fake_time = types.SimpleNamespace(perf_counter=lambda: clock[0])
-        monkeypatch.setattr(experiment, "time", fake_time)
-        monkeypatch.setattr(algorithms, "time", fake_time)
-        monkeypatch.setattr(algorithms, "run", ticking_run)
-        monkeypatch.setattr(algorithms, "g_operator", slow_g)
-        monkeypatch.setattr(experiment, "sdr", slow_sdr)
+        monkeypatch.setattr(algorithms, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(algorithms, "init_amplitude_mask", costing(1.0, algorithms.init_amplitude_mask))
+        monkeypatch.setattr(algorithms, "_block_pass", costing(1.0, algorithms._block_pass))
+        monkeypatch.setattr(algorithms, "g_operator", costing(g_cost, algorithms.g_operator))
+        monkeypatch.setattr(experiment, "sdr", costing(1000.0, experiment.sdr))
         cfg, task = _one_task(dataclasses.replace(tiny_config, record_timing=True), "misi", 0.0, 4)
         return [(r.iterations, r.wall_ms) for r in experiment._process_item(task)]
 

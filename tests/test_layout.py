@@ -87,7 +87,7 @@ def test_every_iterate_in_tf_layout_whatever_the_input_layout(family, sigma, sch
     estimates = []
     for mix_in, mags_in in ((mixture, mags), (c_ordered(mixture), c_ordered(mags))):
         seen = []
-        trace = run(spec, mix_in, mags_in, CFG, on_iterate=lambda k, s, signals, g_seconds: seen.append(tf_ordered(s)))
+        trace = run(spec, mix_in, mags_in, CFG, on_iterate=lambda k, s, signals, seconds: seen.append(tf_ordered(s)))
         assert seen and all(seen)
         assert tf_ordered(trace.estimates)
         estimates.append(np.ascontiguousarray(trace.estimates).view(np.uint64))

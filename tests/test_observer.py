@@ -4,7 +4,8 @@
 it needs one, and passes the overlap-added time signals of that G.  The
 sweep scores an iterate from those signals instead of an ``istft`` probe, so
 they must equal the probe bit for bit, and be None exactly where ``run``
-computed no G(S_k).
+computed no G(S_k).  ``RunTrace.signals`` keeps the last iterate's, which
+``specinv separate`` writes as its WAVs.
 """
 
 import numpy as np
@@ -43,13 +44,24 @@ def test_signals_are_the_istft_of_each_iterate(family, record_losses, n_sources)
     for sigma in (0.0, 1.0, SIGMA_INF):
         seen = []
 
-        def observe(k, sources, signals, g_seconds):
+        def observe(k, sources, signals, seconds):
             probes = [istft(s, CFG, n_samples) for s in sources]
             seen.append((k, probes, signals))
 
         spec = AlgorithmSpec(family, sigma, iterations=ITERATIONS)
-        n = run(spec, mixture, mags, CFG, on_iterate=observe, record_losses=record_losses).iterations
+        trace = run(spec, mixture, mags, CFG, on_iterate=observe, record_losses=record_losses)
+        n = trace.iterations
         assert [k for k, _, _ in seen] == list(range(n + 1))
+        # The trace keeps G(S_n)'s signals, which run computes when it records the losses, observed or not.
+        unobserved = run(spec, mixture, mags, CFG, record_losses=record_losses)
+        for kept in (trace.signals, unobserved.signals):
+            if not record_losses:
+                assert kept is None, sigma
+                continue
+            assert len(kept) == n_sources
+            for got, want in zip(kept, seen[-1][1]):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), sigma
         for k, probes, signals in seen:
             if not (record_losses or (k < n and _step_applies_g(family, sigma))):
                 assert signals is None, (sigma, k)
@@ -90,7 +102,7 @@ def test_default_sweep_task_probes_87_iterates(one_item, tmp_path, monkeypatch):
     real_run = algorithms.run
 
     def without_signals(spec, mixture, mags, cfg, on_iterate, record_losses):
-        return real_run(spec, mixture, mags, cfg, on_iterate=lambda k, s, signals, g_s: on_iterate(k, s, None, g_s),
+        return real_run(spec, mixture, mags, cfg, on_iterate=lambda k, s, signals, secs: on_iterate(k, s, None, secs),
                         record_losses=record_losses)
 
     monkeypatch.setattr(algorithms, "run", without_signals)

@@ -36,6 +36,11 @@ class TestWeights:
         with pytest.raises(ValueError, match="invalid magnitude"):
             weights_magnitude_ratio(np.array([[[-1.0]]]))
 
+    def test_magnitude_ratio_rejects_nan(self):
+        # Not 1/J at the NaN bin.
+        with pytest.raises(ValueError, match="non-finite"):
+            weights_magnitude_ratio(np.array([[[np.nan, 1.0]], [[1.0, 1.0]]]))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), n_sources=st.integers(1, 4))
     def test_magnitude_ratio_sum_to_one_property(self, seed, n_sources):
@@ -70,6 +75,12 @@ class TestPMag:
     def test_rejects_negative_magnitude(self):
         with pytest.raises(ValueError, match="invalid magnitude"):
             p_mag(np.ones((1, 2, 2), complex), -np.ones((1, 2, 2)))
+
+    def test_rejects_nan_magnitude(self):
+        mags = np.ones((1, 2, 2))
+        mags[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            p_mag(np.ones((1, 2, 2), complex), mags)
 
     def test_zeroes_magnitude_loss(self, rng):
         sources = rng.standard_normal((2, 8, 10)) + 1j * rng.standard_normal((2, 8, 10))
@@ -135,6 +146,13 @@ class TestPMix:
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="shape mismatch"):
             p_mix(np.ones((2, 4, 5), complex), np.ones((4, 6), complex), np.full((2, 4, 5), 1.0 / 2))
+
+    @pytest.mark.parametrize("where", ["mixture", "weights"])
+    def test_nan_mixture_or_weights_rejected(self, where):
+        mixture, weights = np.ones((4, 5), complex), np.full((2, 4, 5), 1.0 / 2)
+        {"mixture": mixture, "weights": weights}[where][..., 1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            p_mix(np.ones((2, 4, 5), complex), mixture, weights)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), uniform=st.booleans())

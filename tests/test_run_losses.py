@@ -76,7 +76,7 @@ def test_recorded_losses_match_naive_reference(family, n_sources, cfg_name, g_ca
         spec = AlgorithmSpec(family=family, sigma=sigma, weight_scheme=scheme, iterations=iterations)
         ref = []
 
-        def naive(k, sources, signals, g_seconds):
+        def naive(k, sources, signals, seconds):
             ref.append((mixing_error(sources, mixture), inconsistency(sources, cfg),
                         magnitude_mismatch(sources, mags)))
 

@@ -51,6 +51,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="COLA"):
             StftConfig(window_length=1024, hop=512)
 
+    @pytest.mark.parametrize("window", [*range(1, 65), 100, 512, 1000, 1024])
+    def test_cola_rule_is_the_overlap_add_and_reconstructs(self, window):
+        x = np.random.default_rng(window).standard_normal(50)
+        for hop in (h for h in range(1, window + 1) if window % h == 0):
+            # The squared window's overlap-add over one period, its zeros left as they are.
+            ola = (spectral.hann_periodic(window) ** 2).reshape(-1, hop).sum(axis=0)
+            constant = ola.min() > 0 and np.ptp(ola) <= 1e-10 * ola.max()
+            if window // hop < 3:
+                # (2, 1) overlap-adds to a constant, but its window [0, 1] is of no use.
+                assert constant == ((window, hop) == (2, 1)), hop
+                with pytest.raises(ValueError, match="COLA"):
+                    StftConfig(window_length=window, hop=hop)
+                continue
+            assert constant, hop
+            cfg = StftConfig(window_length=window, hop=hop)
+            assert np.max(np.abs(istft(stft(x, cfg), cfg, x.size) - x)) < 1e-12, hop
+
 
 class TestStft:
     def test_zero_signal(self, full_cfg):
