@@ -35,7 +35,9 @@ alternates from pair to pair and row to row.  Both sides run this file,
 each importing its own ``src``.  Each row reports both medians, the
 median of the per-pair ratios working tree / baseline, and in how many
 pairs the working tree was faster.  Run with REV = HEAD on a clean tree,
-it measures the spread between two runs of the same code.
+it measures the spread between two runs of the same code.  REV must be
+c76d615 or later: the step rows call ``algorithms._block_pass``, which that
+commit added.
 
     PYTHONPATH=src python3 scripts/bench.py --label aa --out BENCH.json --baseline HEAD --pairs 5
 """
@@ -79,25 +81,10 @@ def median_ms(fn, repeats: int) -> float:
     return round(statistics.median(times) * 1e3, 3)
 
 
-def _serial_block_pass(step, sources, mixture, mags, weights, sigma, cons, cfg):
-    """``run``'s block pass without losses, as a checkout older than ``algorithms._block_pass`` ran it."""
-    all_finite = getattr(algorithms, "_all_finite", lambda block: np.all(np.isfinite(block)))
-    for b in algorithms.frame_blocks(sources.shape):
-        s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
-        block = step(s, x, v, w, sigma, z)
-        if not all_finite(block):
-            raise FloatingPointError("non-finite estimate produced")
-        cons[..., b] = block
-    return cons, None
-
-
-_block_pass = getattr(algorithms, "_block_pass", _serial_block_pass)
-
-
 def blocked_step(step, sources, mixture, mags, weights, cfg):
     """One step at sigma 1 as ``run`` applies it: G(S), then ``run``'s block pass, without losses."""
     cons = spectral.g_operator(sources, cfg, check_finite=False)
-    return _block_pass(step, sources, mixture, mags, weights, 1.0, cons, cfg)[0]
+    return algorithms._block_pass(step, sources, mixture, mags, weights, 1.0, cons, cfg)[0]
 
 
 def problem(seconds: float, cfg: spectral.StftConfig):
@@ -124,16 +111,14 @@ def family_runs(mixture, mags, cfg) -> dict:
 
 def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
     """One sweep task: one item at one degradation level, all 30 configurations."""
-    clean = synth.speech_like(seconds, SAMPLE_RATE, seed=1)
-    noise = synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2)
-    signal_io.write_wav(root / "clean.wav", clean)
-    signal_io.write_wav(root / "noise.wav", noise)
-    jobs = experiment._sweep_jobs(experiment.SweepConfig(manifest="", output_dir=""))
-    task = experiment._ItemTask(
-        clean_path=str(root / "clean.wav"), noise_path=str(root / "noise.wav"), isnr_db=0.0,
-        seed=3, split="validation", item_id="bench", degradation=DEGRADATION,
-        record_timing=False, stft_cfg=cfg, jobs=tuple(jobs),
-    )
+    signal_io.write_wav(root / "clean.wav", synth.speech_like(seconds, SAMPLE_RATE, seed=1))
+    signal_io.write_wav(root / "noise.wav", synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2))
+    item = signal_io.ManifestItem("clean.wav", "noise.wav", isnr_db=0.0, seed=3, split="validation")
+    signal_io.save_manifest(signal_io.DatasetManifest([item], cfg.sample_rate, cfg.window_length, cfg.hop),
+                            root / "manifest.json")
+    sweep = experiment.SweepConfig(manifest=str(root / "manifest.json"), output_dir="",
+                                   degradation_levels=[DEGRADATION], record_timing=False)
+    (task,) = experiment._build_tasks(sweep, "validation", experiment._sweep_jobs(sweep))
     return functools.partial(experiment._process_item, task)
 
 
@@ -239,8 +224,7 @@ def machine() -> dict[str, object]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "nproc": cpus,
-        # Ranges per G and per run's block pass (one budget); 1 before G had threads.
-        "g_threads": getattr(spectral, "_threads", 1),
+        "g_threads": spectral._threads,  # ranges per G and per run's block pass (one budget)
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -1,9 +1,9 @@
 """Command-line front door.
 
 Thin adapters only: every numerical result comes from the library modules.
-Exit codes: 0 success, 2 I/O or out-of-memory error, 3 usage/validation
-error, 4 numerical failure (an algorithm produced a non-finite estimate or
-loss).
+Exit codes: 0 success, 2 I/O or out-of-memory error or a dead worker
+process, 3 usage/validation error, 4 numerical failure (an algorithm
+produced a non-finite estimate or loss).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, RuntimeError, MemoryError) as exc:
+    except (OSError, RuntimeError, MemoryError) as exc:  # a dead worker raises BrokenProcessPool, a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,6 +21,7 @@ from . import algorithms
 from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec, Family, _is_int, _is_real
 from .metrics import sdr
 from .signal_io import (
+    ManifestItem,
     degrade_magnitudes,
     load_manifest,
     make_mixture,
@@ -65,6 +66,9 @@ class SweepConfig:
     record_timing: bool = True
 
     def __post_init__(self):
+        for key in ("manifest", "output_dir"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
         for key in ("families", "sigma_grid", "degradation_levels"):
             value = getattr(self, key)
             if not isinstance(value, (list, tuple)) or not value:
@@ -84,6 +88,9 @@ class SweepConfig:
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         self.families = [Family(f).value for f in self.families]
+        for key in ("families", "sigma_grid", "degradation_levels"):  # each entry once, compared as parsed
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ValueError(f"{key} must not repeat an entry, got {getattr(self, key)!r}")
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -172,87 +179,68 @@ def _sweep_jobs(cfg: SweepConfig) -> list[_Job]:
 
 @dataclass(frozen=True)
 class _ItemTask:
-    clean_path: str
-    noise_path: str
-    isnr_db: float
-    seed: int
-    split: str
-    item_id: str
+    root: Path  # the manifest's directory, which the item's paths are relative to
+    item: ManifestItem
     degradation: float
     record_timing: bool
     stft_cfg: StftConfig
     jobs: tuple[_Job, ...]
 
+    @property
+    def item_id(self) -> str:
+        return self.item.clean_path.rsplit(".", 1)[0]
+
 
 def _process_item(task: _ItemTask) -> list[ItemRecord]:
-    level, stft_cfg = task.degradation, task.stft_cfg
-    clean = read_wav(task.clean_path)
-    noise = read_wav(task.noise_path)
-    if clean.sample_rate != stft_cfg.sample_rate:
-        raise ValueError(f"WAV rate {clean.sample_rate} Hz differs from the manifest's {stft_cfg.sample_rate} Hz")
-    mix = make_mixture(clean, noise, task.isnr_db, task.seed)
-    mixture_spec = stft(mix.mixture.samples, stft_cfg)
-    mags = oracle_magnitudes([clean, mix.scaled_noise], stft_cfg)
-    mags = degrade_magnitudes(mags, level, (task.seed, int(round(level * 1e6))))  # per item and level
-
-    records = []
-    for spec, record_iters in task.jobs:
-        # Iterate k's speech signal comes from run's G(S_k) where run computed
-        # one, else from an istft probe.  wall_ms is run's clock: it leaves out
-        # this observer and G(S_k), which counts in iterate k+1.
-        def observe(k, sources, signals, seconds):
-            if k in record_iters:
-                speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
-                records.append(ItemRecord(spec.family.value, spec.sigma, k, task.isnr_db, level, task.split,
-                                          task.item_id, sdr(clean.samples, speech),
-                                          seconds * 1e3 if task.record_timing else 0.0))
-
-        algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
-    return records
-
-
-def _process_item_safe(task: _ItemTask):
+    """The item's records at every job; a ValueError or FloatingPointError names the item."""
+    item, level, stft_cfg = task.item, task.degradation, task.stft_cfg
     try:
-        return _process_item(task), None
-    except (OSError, ValueError, FloatingPointError) as exc:
-        return [], f"{task.item_id}: {exc}"
+        clean = read_wav(task.root / item.clean_path)
+        noise = read_wav(task.root / item.noise_path)
+        if clean.sample_rate != stft_cfg.sample_rate:
+            raise ValueError(f"WAV rate {clean.sample_rate} Hz differs from the manifest's {stft_cfg.sample_rate} Hz")
+        mix = make_mixture(clean, noise, item.isnr_db, item.seed)
+        mixture_spec = stft(mix.mixture.samples, stft_cfg)
+        mags = oracle_magnitudes([clean, mix.scaled_noise], stft_cfg)
+        mags = degrade_magnitudes(mags, level, (item.seed, int(round(level * 1e6))))  # per item and level
+
+        records = []
+        for spec, record_iters in task.jobs:
+            # Iterate k's speech signal comes from run's G(S_k) where run computed
+            # one, else from an istft probe.  wall_ms is run's clock: it leaves out
+            # this observer and G(S_k), which counts in iterate k+1.
+            def observe(k, sources, signals, seconds):
+                if k in record_iters:
+                    speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
+                    records.append(ItemRecord(spec.family.value, spec.sigma, k, item.isnr_db, level, item.split,
+                                              task.item_id, sdr(clean.samples, speech),
+                                              seconds * 1e3 if task.record_timing else 0.0))
+
+            algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
+        return records
+    except (ValueError, FloatingPointError) as exc:  # an OSError names its file already
+        kind = FloatingPointError if isinstance(exc, FloatingPointError) else ValueError
+        raise kind(f"{task.item_id}: {exc}") from exc
 
 
 def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
+    """Every task's records; the first failed task in task order stops the run with its error."""
     workers = min(usable_cpus() if jobs is None else jobs, len(tasks))
-    if workers > 1:
-        share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms and block passes
-        with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,)) as pool:
-            results = list(pool.map(_process_item_safe, tasks))
-    else:
-        results = [_process_item_safe(task) for task in tasks]
-    records = [record for result, _ in results for record in result]  # a failed item has none
-    failures = [error for _, error in results if error is not None]
-    if failures and not records:
-        raise RuntimeError(f"all items failed: {failures}")
-    return ResultTable(records)
+    if workers <= 1:
+        return ResultTable([record for task in tasks for record in _process_item(task)])
+    share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms and block passes
+    pool = ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,))
+    try:
+        return ResultTable([record for result in pool.map(_process_item, tasks) for record in result])
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a failure, cancels the tasks not yet handed to a worker
 
 
 def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_Job]) -> list[_ItemTask]:
     manifest = load_manifest(cfg.manifest)
     stft_cfg = manifest.stft_config()
-    tasks = []
-    for item in manifest.split_items(split):
-        for level in cfg.degradation_levels:
-            tasks.append(
-                _ItemTask(
-                    clean_path=str(manifest.resolve(item.clean_path)),
-                    noise_path=str(manifest.resolve(item.noise_path)),
-                    isnr_db=item.isnr_db,
-                    seed=item.seed,
-                    split=item.split,
-                    item_id=item.clean_path.rsplit(".", 1)[0],
-                    degradation=level,
-                    record_timing=cfg.record_timing,
-                    stft_cfg=stft_cfg,
-                    jobs=tuple(algo_jobs),
-                )
-            )
+    tasks = [_ItemTask(manifest.root, item, level, cfg.record_timing, stft_cfg, tuple(algo_jobs))
+             for item in manifest.split_items(split) for level in cfg.degradation_levels]
     if not tasks:
         raise ValueError(f"manifest has no {split} items")
     return tasks

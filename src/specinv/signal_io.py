@@ -37,7 +37,7 @@ def read_wav(path) -> TimeSignal:
     """
     try:
         rate, data = wavfile.read(path)
-    except FileNotFoundError:
+    except OSError:  # a missing file, a directory, a read error: I/O, not a bad WAV
         raise
     except Exception as exc:
         raise ValueError(f"unreadable WAV file {path}: {exc}") from exc

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from specinv import StftConfig, istft, stft
+from specinv import StftConfig, experiment, istft, stft
 from specinv.algorithms import SIGMA_INF, AlgorithmSpec, Family, run
 from specinv.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _resolve_algo, main
 from specinv.signal_io import (
@@ -14,6 +15,11 @@ from specinv.signal_io import (
     write_wav,
 )
 from specinv.synth import generate_dataset, noise_like, speech_like
+
+
+def _die(task):
+    """A sweep task's stand-in whose worker process dies."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -287,6 +293,10 @@ class TestEvaluate:
         code = main(["evaluate", "--ref", str(tmp_path / "r.wav"), "--est", str(tmp_path / "e.wav")])
         assert code == EXIT_USAGE
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["evaluate", "--ref", str(tmp_path), "--est", str(tmp_path)]) == EXIT_IO
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_rate_mismatch_exit_3(self, tmp_path, rng, capsys):
         x = rng.standard_normal(1000)
         write_wav(tmp_path / "r.wav", TimeSignal(x, 16000))
@@ -329,7 +339,13 @@ class TestBenchmark:
         assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize("extra, key", [({"bogus": 1}, "bogus"),
-                                            ({"max_iterations": "x"}, "max_iterations")])
+                                            ({"max_iterations": "x"}, "max_iterations"),
+                                            ({"manifest": 5}, "manifest"),
+                                            ({"output_dir": None}, "output_dir"),
+                                            ({"manifest": [1]}, "manifest"),
+                                            ({"families": ["misi", "misi"]}, "families"),
+                                            ({"sigma_grid": ["1", "1.0"]}, "sigma_grid"),
+                                            ({"degradation_levels": [0.2, 0.2]}, "degradation_levels")])
     def test_bad_config_key_exit_3(self, tmp_path, capsys, extra, key):
         doc = {"manifest": "m.json", "output_dir": str(tmp_path / "out"), **extra}
         cfg_path = tmp_path / "cfg.json"
@@ -379,7 +395,7 @@ class TestBenchmark:
         assert "sigma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_manifest_rate_unlike_its_wavs_exit_2(self, tmp_path, capsys):
+    def test_manifest_rate_unlike_its_wavs_exit_3(self, tmp_path, capsys):
         manifest = generate_dataset(tmp_path / "data", n_validation=1, n_test=1,
                                     seed=3, duration=0.4, noise_duration=0.6)
         doc = json.loads(manifest.read_text())
@@ -387,9 +403,55 @@ class TestBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out"),
                                         "sigma_grid": ["0"], "max_iterations": 1, "jobs": 1}))
-        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_IO
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "16000" in err and "8000" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fault, code", [("corrupt", EXIT_USAGE), ("missing", EXIT_IO),
+                                             ("non-finite", EXIT_NUMERIC)])
+    def test_bad_item_stops_the_run_with_its_code(self, tmp_path, capsys, monkeypatch, fault, code):
+        # The middle one of three validation items fails; the others are good.
+        manifest = generate_dataset(tmp_path / "data", n_validation=3, n_test=1,
+                                    seed=3, duration=0.4, noise_duration=0.6)
+        bad = json.loads(manifest.read_text())["items"][1]
+        if fault == "corrupt":
+            (tmp_path / "data" / bad["clean_path"]).write_bytes(b"RIFF\x00\x01garbage")
+        elif fault == "missing":
+            (tmp_path / "data" / bad["clean_path"]).unlink()
+        else:
+            degrade = experiment.degrade_magnitudes
+
+            def huge(mags, level, seed):  # the forked workers inherit the patch
+                if seed[0] != bad["seed"]:
+                    return degrade(mags, level, seed)
+                out = np.zeros_like(mags)
+                out[:, 0, 1] = 1e308  # in-phase bins: the sigma=0 source sum overflows
+                return out
+
+            monkeypatch.setattr(experiment, "degrade_magnitudes", huge)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out"),
+                                        "families": ["mix_incons"], "sigma_grid": ["0"],
+                                        "max_iterations": 2, "degradation_levels": [0.0]}))
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["benchmark", "--config", str(cfg_path), "--jobs", jobs]) == code
+            errors.append(capsys.readouterr().err)
+            assert not list((tmp_path / "out").glob("*.*"))  # no CSV, no selections
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1 and "validation/clean_01" in errors[0]
+
+    def test_dead_worker_exit_2(self, tmp_path, capsys, monkeypatch):
+        manifest = generate_dataset(tmp_path / "data", n_validation=2, n_test=1,
+                                    seed=3, duration=0.4, noise_duration=0.6)
+        monkeypatch.setattr(experiment, "_process_item", _die)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out"),
+                                        "degradation_levels": [0.0], "jobs": 2}))
+        assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_IO
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.*"))
 
     def test_window_too_large_to_allocate_exit_2(self, tmp_path, capsys):
         # numpy refuses the 8 TiB window at once, without touching memory.

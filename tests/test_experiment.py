@@ -35,7 +35,7 @@ def _report_g_threads(task):
     """A sweep task's stand-in that reports G's thread budget and the threads alive after a G."""
     spectral.g_operator(np.ones((33, 40), complex), spectral.StftConfig(64, 16, 8000))
     label = f"budget {spectral._threads}, threads {threading.active_count()}"
-    return [ItemRecord("am", 0.0, 0, 0.0, 0.0, "validation", label, 0.0, 0.0)], None
+    return [ItemRecord("am", 0.0, 0, 0.0, 0.0, "validation", label, 0.0, 0.0)]
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ class TestJobs:
     @pytest.mark.skipif(usable_cpus() < 2, reason="one CPU: no worker process")
     def test_each_worker_process_gets_its_share_of_the_cpus(self, monkeypatch):
         # One worker per CPU: each worker's G runs in its calling thread alone.
-        monkeypatch.setattr(experiment, "_process_item_safe", _report_g_threads)
+        monkeypatch.setattr(experiment, "_process_item", _report_g_threads)
         table = experiment._run_tasks(list(range(usable_cpus())), jobs=usable_cpus())
         assert [r.item_id for r in table.records] == ["budget 1, threads 1"] * usable_cpus()
 
@@ -325,10 +325,28 @@ class TestConfigValidation:
         ("weight_scheme", "even"),
         ("record_timing", "no"),
         ("families", "misi"),
+        ("manifest", 5),
+        ("manifest", [1]),
+        ("output_dir", None),
+        ("families", ["misi", Family.MISI]),
+        ("sigma_grid", [1, 1.0]),
+        ("degradation_levels", [0.2, 0.2]),
     ])
     def test_bad_value_named(self, key, value):
         with pytest.raises(ValueError, match=key):
+            SweepConfig(**{"manifest": "m", "output_dir": "o", key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("families", [["misi"], ["misi"]], "not a valid Family"),
+        ("sigma_grid", [[1], [1]], "sigma_grid must hold numbers"),
+        ("degradation_levels", [{}, {}], "degradation_levels must hold finite numbers"),
+    ])
+    def test_unhashable_entry_gets_its_type_message(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
             SweepConfig(manifest="m", output_dir="o", **{key: value})
+
+    def test_empty_paths_allowed(self):
+        assert SweepConfig(manifest="", output_dir="").manifest == ""
 
 
 def _one_task(cfg, family, sigma, iterations):
@@ -347,10 +365,10 @@ class TestItemFailures:
 
         monkeypatch.setattr(experiment, "degrade_magnitudes", huge)
         cfg, task = _one_task(tiny_config, "mix_incons", 0.0, 2)
-        records, error = experiment._process_item_safe(task)
-        assert records == []
-        assert error == f"{task.item_id}: non-finite estimate produced"
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(FloatingPointError) as raised:
+            experiment._process_item(task)
+        assert str(raised.value) == f"{task.item_id}: non-finite estimate produced"
+        with pytest.raises(FloatingPointError, match="non-finite"):
             run_sweep(cfg)
 
 

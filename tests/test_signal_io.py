@@ -54,6 +54,16 @@ class TestWav:
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
 
+    def test_garbage_file_rejected(self, tmp_path):
+        (tmp_path / "g.wav").write_bytes(b"RIFF\x00\x01garbage")
+        with pytest.raises(ValueError, match="unreadable WAV"):
+            read_wav(tmp_path / "g.wav")
+
+    def test_unreadable_path_is_an_os_error(self, tmp_path):
+        # A directory: a file without read permission would still be read by the superuser.
+        with pytest.raises(IsADirectoryError):
+            read_wav(tmp_path)
+
 
 class TestSpgm:
     def test_real_round_trip(self, tmp_path, rng):
