@@ -135,7 +135,7 @@ def clip_rows(seconds: float, tmp: Path):
             1.0 / len(mags) if rule.uniform_weights else weights, cfg,
         )
         for family, rule in algorithms.RULES.items()
-        if rule.has_step
+        if hasattr(algorithms, f"step_{family.value}")
     }
     spec = AlgorithmSpec(family=Family.MIX_INCONS_HARDMAG, sigma=1.0, iterations=20)
     layers = {
@@ -221,9 +221,8 @@ def machine() -> dict[str, object]:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         sha = None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
-        "nproc": cpus,
+        "nproc": spectral.usable_cpus(),
         "g_threads": spectral._threads,  # ranges per G and per run's block pass (one budget)
         "machine": platform.machine(),
         "python": platform.python_version(),

@@ -3,9 +3,9 @@
 Every algorithm family is one row of the update table (``RULES``): a
 composition of the magnitude, consistency and mixing projectors, possibly
 blended by a consistency weight sigma.  The family's update is the module
-function ``step_<family.value>``.  ``sigma = SIGMA_INF`` selects the
-analytic consistency-only limit; the formulas branch on it and never perform
-floating-point arithmetic with infinity.
+function ``step_<family.value>`` (``am`` has none).  ``sigma = SIGMA_INF``
+selects the analytic consistency-only limit; the formulas branch on it and
+never perform floating-point arithmetic with infinity.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "RULES",
     "SIGMA_INF",
+    "WEIGHT_SCHEMES",
     "AlgorithmSpec",
     "Family",
     "Rule",
@@ -39,6 +40,7 @@ __all__ = [
 SIGMA_INF = float("inf")
 
 DEFAULT_MAX_ITERATIONS = 20
+WEIGHT_SCHEMES = ("uniform", "magratio")  # mixing weights 1/J, or V_j / sum_k V_k per bin
 
 
 def _is_int(value) -> bool:
@@ -60,9 +62,8 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class Rule:
-    """One row of the paper's update table."""
+    """One row of the paper's update table; the family steps iff ``step_<family.value>`` exists."""
 
-    has_step: bool  # False: the amplitude-mask initialization is the estimate
     sigma_enters: bool  # sigma blends P_cons into the update
     uniform_weights: bool  # mixing weights fixed at 1/J
     fixed_iterations: int | None  # iterations the sweep and the CLI run; None = any
@@ -70,12 +71,12 @@ class Rule:
 
 
 RULES = {
-    Family.AM: Rule(False, False, False, 0, None),
-    Family.MISI: Rule(True, False, True, None, None),
-    Family.MIX_INCONS: Rule(True, True, False, None, "mixing"),
-    Family.MIX_INCONS_HARDMAG: Rule(True, True, False, None, None),
-    Family.INCONS_HARDMIX: Rule(True, False, True, 1, None),
-    Family.MAG_INCONS_HARDMIX: Rule(True, True, True, None, "magnitude"),
+    Family.AM: Rule(False, True, 0, None),  # no step_am: the initialization is the estimate, no weights used
+    Family.MISI: Rule(False, True, None, None),
+    Family.MIX_INCONS: Rule(True, False, None, "mixing"),
+    Family.MIX_INCONS_HARDMAG: Rule(True, False, None, None),
+    Family.INCONS_HARDMIX: Rule(False, True, 1, None),
+    Family.MAG_INCONS_HARDMIX: Rule(True, True, None, "magnitude"),
 }
 
 
@@ -85,24 +86,17 @@ class AlgorithmSpec:
 
     family: Family
     sigma: float = 0.0
-    weight_scheme: str = "magratio"  # "uniform" | "magratio"
+    weight_scheme: str = "magratio"  # one of WEIGHT_SCHEMES
     iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self):
         self.family = Family(self.family)
-        if self.weight_scheme not in ("uniform", "magratio"):
+        if self.weight_scheme not in WEIGHT_SCHEMES:
             raise ValueError(f"unknown weight scheme: {self.weight_scheme}")
         if not (_is_real(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be a number >= 0, got {self.sigma!r}")
         if not (_is_int(self.iterations) and self.iterations >= 0):
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
-
-    def validation_warnings(self) -> list[str]:
-        # The rows with fixed 1/J weights ignore weight_scheme without a note:
-        # the default scheme is magratio, so a note would fire on defaults.
-        if not RULES[self.family].sigma_enters and self.sigma != 0.0:
-            return [f"sigma is ignored by {self.family.value}"]
-        return []
 
 
 @dataclass
@@ -305,17 +299,18 @@ def run(
     mags = tf_layout(np.asarray(mags, dtype=np.float64))
     if mixture.shape[0] != cfg.n_bins or cfg.max_samples(mixture.shape[1]) < 1:
         raise ValueError(f"mixture {mixture.shape} needs {cfg.n_bins} bins and >= {cfg.num_frames(1)} frames")
-    rule = RULES[spec.family]
-    warnings = spec.validation_warnings()
-    sigma = spec.sigma
-    if not rule.has_step or rule.uniform_weights or spec.weight_scheme == "uniform":
+    rule, sigma = RULES[spec.family], spec.sigma
+    # The rows with fixed 1/J weights ignore weight_scheme without a note:
+    # the default scheme is magratio, so a note would fire on defaults.
+    warnings = [f"sigma is ignored by {spec.family.value}"] if not rule.sigma_enters and sigma != 0.0 else []
+    if rule.uniform_weights or spec.weight_scheme == "uniform":
         weights = 1.0 / mags.shape[0]
     else:
         weights = _weights_magnitude_ratio(mags)  # mags checked by init_amplitude_mask
     # Looked up when run is called, not at import, so a wrapped step is used.
-    step = globals()[f"step_{spec.family.value}"] if rule.has_step else None
-    n_steps = spec.iterations if rule.has_step else 0
-    applies_g = rule.has_step and (sigma != 0.0 or not rule.sigma_enters)
+    step = globals().get(f"step_{spec.family.value}")
+    n_steps = spec.iterations if step is not None else 0
+    applies_g = sigma != 0.0 or not rule.sigma_enters  # read only while stepping
 
     recorded = []  # (mixing, inconsistency, magnitude) of each iterate; the last pass only records and observes
     for k in range(n_steps + 1):

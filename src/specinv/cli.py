@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algorithms
-from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec, Family
+from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, WEIGHT_SCHEMES, AlgorithmSpec, Family
 from .experiment import load_sweep_config, parse_sigma, run_benchmark
 from .metrics import sdr
 from .signal_io import make_mixture, read_spectrogram, read_wav, write_wav
@@ -72,9 +72,9 @@ def _build_parser() -> _Parser:
     sep.add_argument("--algo", required=True)
     sep.add_argument("--sigma", default="0")
     sep.add_argument("--iters", type=int, default=DEFAULT_MAX_ITERATIONS)
-    sep.add_argument("--weights", choices=["uniform", "magratio"], default="magratio")
-    sep.add_argument("--window", type=int, default=1024)
-    sep.add_argument("--hop", type=int, default=256)
+    sep.add_argument("--weights", choices=WEIGHT_SCHEMES, default=AlgorithmSpec.weight_scheme)
+    sep.add_argument("--window", type=int, default=StftConfig.window_length)
+    sep.add_argument("--hop", type=int, default=StftConfig.hop)
     sep.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="print the SDR between two WAV files")

@@ -30,8 +30,6 @@ from .signal_io import (
 )
 from .spectral import StftConfig, _set_threads, istft, stft, usable_cpus
 
-CSV_HEADER = "algorithm,sigma,iterations,isnr_db,degradation,split,item_id,sdr_db,wall_ms"
-
 DEFAULT_SIGMA_GRID = [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, SIGMA_INF]
 DEFAULT_FAMILIES = [f.value for f in Family]
 DEFAULT_DEGRADATION_LEVELS = [0.0, 0.2, 0.5]
@@ -60,7 +58,7 @@ class SweepConfig:
     families: list[str] = field(default_factory=lambda: list(DEFAULT_FAMILIES))
     sigma_grid: list[float] = field(default_factory=lambda: list(DEFAULT_SIGMA_GRID))
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    weight_scheme: str = "magratio"
+    weight_scheme: str = AlgorithmSpec.weight_scheme
     degradation_levels: list[float] = field(default_factory=lambda: list(DEFAULT_DEGRADATION_LEVELS))
     jobs: int | None = None  # worker processes; None = one per usable CPU
     record_timing: bool = True
@@ -83,8 +81,9 @@ class SweepConfig:
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         if self.jobs is not None and (not _is_int(self.jobs) or self.jobs < 1):
             raise ValueError(f"jobs must be an integer >= 1 or null, got {self.jobs!r}")
-        if self.weight_scheme not in ("uniform", "magratio"):
-            raise ValueError(f"weight_scheme must be 'uniform' or 'magratio', got {self.weight_scheme!r}")
+        if self.weight_scheme not in algorithms.WEIGHT_SCHEMES:
+            schemes = " or ".join(map(repr, algorithms.WEIGHT_SCHEMES))
+            raise ValueError(f"weight_scheme must be {schemes}, got {self.weight_scheme!r}")
         if not isinstance(self.record_timing, bool):
             raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
         self.families = [Family(f).value for f in self.families]
@@ -144,6 +143,9 @@ class ItemRecord:
                 f"{self.wall_ms:.3f}",
             ]
         )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ItemRecord))
 
 
 class ResultTable:
@@ -280,7 +282,8 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
 
 def run_benchmark(cfg: SweepConfig) -> dict[str, Path]:
     """Full protocol: validation sweep, selection, test evaluation, CSVs."""
-    _build_tasks(cfg, "test", [])  # an empty test split fails here, not after the sweep
+    for task in _build_tasks(cfg, "test", []):  # an empty test split or a bad test item fails here, not after the sweep
+        _process_item(task)  # with no jobs: reads, checks, mixes and transforms the item, and runs nothing
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     validation = run_sweep(cfg)

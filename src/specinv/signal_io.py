@@ -23,6 +23,7 @@ from .spectral import StftConfig, TimeSignal, stft
 SPGM_MAGIC = b"SPGM"
 SPGM_VERSION = 1
 _KIND_REAL = 0
+_SPGM_HEADER = struct.Struct("<4sBBII")  # magic, version, payload kind, rows, columns
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +73,25 @@ def write_spectrogram(path, matrix: np.ndarray) -> None:
     if np.iscomplexobj(matrix):
         raise ValueError("SPGM holds real matrices only; got complex input")
     payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    header = struct.pack("<4sBBII", SPGM_MAGIC, SPGM_VERSION, _KIND_REAL, *matrix.shape)
+    header = _SPGM_HEADER.pack(SPGM_MAGIC, SPGM_VERSION, _KIND_REAL, *matrix.shape)
     Path(path).write_bytes(header + payload)
 
 
 def read_spectrogram(path) -> np.ndarray:
     """Read an SPGM file back into a float64 matrix."""
     raw = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sBBII")
-    if len(raw) < header_size:
+    if len(raw) < _SPGM_HEADER.size:
         raise ValueError("not a spectrogram file (truncated header)")
-    magic, version, kind, n_rows, n_cols = struct.unpack("<4sBBII", raw[:header_size])
+    magic, version, kind, n_rows, n_cols = _SPGM_HEADER.unpack_from(raw)
     if magic != SPGM_MAGIC:
         raise ValueError("not a spectrogram file")
     if version != SPGM_VERSION:
         raise ValueError(f"unsupported spectrogram version {version}")
     if kind != _KIND_REAL:
         raise ValueError(f"unknown payload kind {kind}")
-    if len(raw) != header_size + n_rows * n_cols * 8:
+    if len(raw) != _SPGM_HEADER.size + n_rows * n_cols * 8:
         raise ValueError("truncated spectrogram payload")
-    data = np.frombuffer(raw, dtype="<f8", offset=header_size)
+    data = np.frombuffer(raw, dtype="<f8", offset=_SPGM_HEADER.size)
     return data.reshape(n_rows, n_cols).astype(np.float64)
 
 
@@ -202,23 +202,16 @@ class ManifestItem:
 @dataclass
 class DatasetManifest:
     items: list[ManifestItem]
-    sample_rate: int = 16000
-    window_length: int = 1024
-    hop: int = 256
+    sample_rate: int = StftConfig.sample_rate
+    window_length: int = StftConfig.window_length
+    hop: int = StftConfig.hop
     root: Path = field(default_factory=Path)
 
     def stft_config(self) -> StftConfig:
-        return StftConfig(
-            window_length=self.window_length,
-            hop=self.hop,
-            sample_rate=self.sample_rate,
-        )
+        return StftConfig(window_length=self.window_length, hop=self.hop, sample_rate=self.sample_rate)
 
     def split_items(self, split: str) -> list[ManifestItem]:
         return [it for it in self.items if it.split == split]
-
-    def resolve(self, rel_path: str) -> Path:
-        return self.root / rel_path
 
 
 # What each typed manifest value must be, checked where the manifest is read.

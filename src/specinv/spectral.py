@@ -183,8 +183,8 @@ def _fan_out(fn, n: int) -> list:
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """One-sided STFT, returned as an F x T complex matrix in (T, F) memory."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("empty input")
+    if x.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
     if not np.all(np.isfinite(x)):
         raise ValueError("signal contains non-finite samples")
     n_frames = cfg.num_frames(x.size)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from specinv.signal_io import (
 from specinv.synth import generate_dataset, noise_like, speech_like
 
 
-def _die(task):
-    """A sweep task's stand-in whose worker process dies."""
+def _die(*args, **kwargs):
+    """A stand-in for ``algorithms.run``, which only the sweep's workers call, whose process dies."""
     os._exit(1)
 
 
@@ -445,13 +448,49 @@ class TestBenchmark:
     def test_dead_worker_exit_2(self, tmp_path, capsys, monkeypatch):
         manifest = generate_dataset(tmp_path / "data", n_validation=2, n_test=1,
                                     seed=3, duration=0.4, noise_duration=0.6)
-        monkeypatch.setattr(experiment, "_process_item", _die)
+        monkeypatch.setattr(experiment.algorithms, "run", _die)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out"),
                                         "degradation_levels": [0.0], "jobs": 2}))
         assert main(["benchmark", "--config", str(cfg_path)]) == EXIT_IO
         assert "terminated abruptly" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.*"))
+
+    @pytest.mark.parametrize("fault, code", [("missing", EXIT_IO), ("corrupt", EXIT_USAGE),
+                                             ("short_noise", EXIT_USAGE)])
+    def test_bad_test_item_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch, fault, code):
+        manifest = generate_dataset(tmp_path / "data", n_validation=2, n_test=1,
+                                    seed=3, duration=0.4, noise_duration=0.6)
+        (bad,) = [item for item in json.loads(manifest.read_text())["items"] if item["split"] == "test"]
+        if fault == "missing":
+            (tmp_path / "data" / bad["clean_path"]).unlink()
+        elif fault == "corrupt":
+            (tmp_path / "data" / bad["clean_path"]).write_bytes(b"RIFF\x00\x01garbage")
+        else:
+            write_wav(tmp_path / "data" / bad["noise_path"], noise_like(0.2, 16000, seed=2))
+        calls = []
+        monkeypatch.setattr(experiment.algorithms, "run", lambda *args, **kwargs: calls.append(args))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"manifest": str(manifest), "output_dir": str(tmp_path / "out")}))
+        assert main(["benchmark", "--config", str(cfg_path), "--jobs", "1"]) == code
+        assert calls == []  # no validation item was run
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "test/clean_00" in err  # the item, or its missing file
+        assert not (tmp_path / "out").exists()
+
+    def test_make_dataset_then_benchmark(self, tmp_path):
+        # The README's recipe: the script writes config.json next to manifest.json.
+        root = Path(__file__).resolve().parents[1]
+        data = tmp_path / "data"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, str(root / "scripts" / "make_dataset.py"), str(data), "--validation", "1",
+                        "--test", "1", "--duration", "0.4", "--noise-duration", "0.6"], env=env, check=True,
+                       capture_output=True)
+        assert json.loads((data / "config.json").read_text()) == {"manifest": "manifest.json",
+                                                                  "output_dir": "results"}
+        assert main(["benchmark", "--config", str(data / "config.json"), "--jobs", "1"]) == EXIT_OK
+        for name in ("validation.csv", "test.csv", "selections.json"):
+            assert (data / "results" / name).stat().st_size > 0
 
     def test_window_too_large_to_allocate_exit_2(self, tmp_path, capsys):
         # numpy refuses the 8 TiB window at once, without touching memory.

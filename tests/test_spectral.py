@@ -79,6 +79,10 @@ class TestStft:
         with pytest.raises(ValueError, match="empty input"):
             stft(np.array([]), full_cfg)
 
+    def test_two_dimensional_signal_rejected(self, full_cfg):
+        with pytest.raises(ValueError, match="signal must be one-dimensional"):
+            stft(np.zeros((2, 4000)), full_cfg)
+
     def test_frame_count_formula(self, full_cfg):
         n = 16000
         t_expected = int(np.ceil((n + 2 * full_cfg.pad - 1024) / 256)) + 1
