@@ -16,9 +16,12 @@ sigma 1 where the family has one, 20 iterations unless the family fixes
 the count), the same ``run`` without its losses (``_nolosses``: the
 difference is what recording the losses costs) and one sweep task:
 ``experiment._process_item`` on one item at one degradation level, with the
-default sweep's 30 configurations.  Timings are wall-clock milliseconds
-from ``time.perf_counter``: the median of 7 calls per layer, of 3 for a
-``run`` or a sweep task.
+default sweep's 30 configurations.  The ``cold_import_cli`` row is a
+fresh ``python -c "import specinv.cli"`` on the ``src`` that this script
+imported specinv from: what every ``specinv`` command pays before it
+starts.  Timings are wall-clock milliseconds from ``time.perf_counter``:
+the median of 7 calls per layer (7 subprocesses for ``cold_import_cli``),
+of 3 for a ``run`` or a sweep task.
 
 The results go under ``--label`` in the JSON file ``--out``; other labels
 already in the file are kept, so the same file can hold a before and an
@@ -69,6 +72,7 @@ CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
 RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long; a sweep task ~560
 ROOT = Path(__file__).resolve().parent.parent
+COLD_IMPORT = "cold_import_cli"
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -155,6 +159,13 @@ def clip_rows(seconds: float, tmp: Path):
     return layers, sources.shape
 
 
+def cold_import_cli() -> None:
+    """A fresh interpreter that imports ``specinv.cli`` from the ``src`` this script imported specinv from."""
+    src = Path(specinv.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-c", "import specinv.cli"], env={**os.environ, "PYTHONPATH": str(src)},
+                   check=True)
+
+
 def time_row(name: str, fn) -> float:
     return median_ms(fn, RUN_REPEATS if name.startswith(("run_", "sweep_")) else REPEATS)
 
@@ -169,7 +180,15 @@ def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
 
 
 def row_names(tmp: Path) -> list[str]:
-    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)[0]]
+    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)[0]] + [COLD_IMPORT]
+
+
+def row_call(row: str, tmp: Path):
+    """The call that ``row`` times."""
+    if row == COLD_IMPORT:
+        return cold_import_cli
+    clip, name = row.split("/", 1)
+    return clip_rows(float(clip[:-1]), tmp)[0][name]
 
 
 def time_in_subprocess(src: Path, row: str) -> float:
@@ -241,9 +260,8 @@ def main() -> None:
     parser.add_argument("--row", help=argparse.SUPPRESS)  # internal: time one row, print its ms
     args = parser.parse_args()
     if args.row is not None:
-        clip, name = args.row.split("/", 1)
         with tempfile.TemporaryDirectory() as tmp:
-            print(time_row(name, clip_rows(float(clip[:-1]), Path(tmp))[0][name]))
+            print(time_row(args.row.rsplit("/", 1)[-1], row_call(args.row, Path(tmp))))
         return
     if args.out is None or args.label is None:
         parser.error("--out and --label are required")
@@ -253,6 +271,7 @@ def main() -> None:
         record = {"machine": machine(), "repeats": REPEATS}
         if args.baseline is None:
             record["clips"] = {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS}
+            record[f"{COLD_IMPORT}_ms"] = time_row(COLD_IMPORT, cold_import_cli)
         else:
             record.update(compare(args.baseline, args.pairs, Path(tmp)))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -10,8 +10,8 @@ regardless of worker count.
 
 from __future__ import annotations
 
+import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -231,7 +231,7 @@ def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
     if workers <= 1:
         return ResultTable([record for task in tasks for record in _process_item(task)])
     share = max(1, usable_cpus() // workers)  # CPUs for each worker's transforms and block passes
-    pool = ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,))
+    pool = concurrent.futures.ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(share,))
     try:
         return ResultTable([record for result in pool.map(_process_item, tasks) for record in result])
     finally:

@@ -1,6 +1,8 @@
 """WAV and spectrogram file I/O, mixture synthesis, magnitude models.
 
-WAVs are read as mono PCM16 or float32 and written as float32.  The
+WAVs are read as mono PCM16, float32 or float64, plain or extensible (RIFX,
+RF64, other formats and truncated data are a ``ValueError``, exit 3; an
+``OSError`` is exit 2), and written as float32 with scipy's header.  The
 spectrogram container is a small little-endian binary format ("SPGM") for
 real matrices only: magic, version byte, payload-kind byte (0 = float64,
 the one kind), two u32 dimensions, then the row-major float64 payload.
@@ -15,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .algorithms import _is_int, _is_real
 from .spectral import StftConfig, TimeSignal, stft
@@ -31,31 +32,58 @@ _SPGM_HEADER = struct.Struct("<4sBBII")  # magic, version, payload kind, rows, c
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> TimeSignal:
-    """Read a mono PCM16 or float32 WAV file.
+    """Read a mono PCM16 (scaled by 1/32768), float32 or float64 WAV file, plain or extensible.
 
-    16-bit samples are scaled to [-1, 1) by 1/32768; float32 samples are
-    returned as-is (promoted to float64).
+    Chunks may come in any order; unknown ones are skipped.  Stereo, other
+    formats, RIFX, RF64 and truncated or part-sample data are a
+    ``ValueError`` (exit 3); an ``OSError`` propagates (exit 2).
     """
+    raw = memoryview(Path(path).read_bytes())
     try:
-        rate, data = wavfile.read(path)
-    except OSError:  # a missing file, a directory, a read error: I/O, not a bad WAV
-        raise
-    except Exception as exc:
+        order = {b"RIFF": "<", b"RIFX": ">"}.get(bytes(raw[:4]))
+        if order is None or raw[8:12] != b"WAVE":
+            raise ValueError(f"not a RIFF or RIFX WAVE file (starts {bytes(raw[:12])!r})")
+        end = min(8 + struct.unpack_from(order + "I", raw, 4)[0], len(raw))  # the RIFF size, or the file's if less
+        chunks, pos = {}, 12
+        while b"data" not in chunks and pos + 8 <= end:  # each chunk is padded to an even size
+            chunk, size = struct.unpack_from(order + "4sI", raw, pos)
+            if pos + 8 + size > end:
+                raise ValueError(f"truncated: {chunk!r} chunk needs {size} bytes; the file or RIFF size ends at {end}")
+            chunks[chunk], pos = raw[pos + 8 : pos + 8 + size], pos + 8 + size + size % 2
+        if b"fmt " not in chunks or b"data" not in chunks:
+            raise ValueError(f"no fmt chunk followed by a data chunk within the RIFF size or the file ({end} bytes)")
+        fmt, data = chunks[b"fmt "], chunks[b"data"]
+        tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from(order + "HHIIHH", fmt)
+        if tag == 0xFFFE and len(fmt) >= 40:  # WAVE_FORMAT_EXTENSIBLE: the tag heads the subformat GUID
+            cb_size, subformat, guid = struct.unpack_from(order + "H6xI12s", fmt, 16)
+            if cb_size >= 22 and guid == struct.pack(order + "HH", 0, 16) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71":
+                tag = subformat
+        if tag not in (1, 3) or bits > 64 or (tag == 3 and bits not in (32, 64)):
+            raise ValueError(f"format tag {tag:#06x}, {bits} bits: PCM (tag 1) or 32/64-bit IEEE float (tag 3) only")
+        if tag == 1 and byte_rate != rate * block_align:
+            raise ValueError(f"byte rate {byte_rate} is not sample rate {rate} x block align {block_align}")
+        kind, width = ("f", block_align) if tag == 3 else ("u", 1) if bits <= 8 else ("i", block_align)
+        # a rejected 3- or 5- to 7-byte integer is named by its int32 or int64 container, as numpy reads it
+        dtype = np.dtype(f"{order}{kind}{ {3: 4, 5: 8, 6: 8, 7: 8}.get(width, width) if kind == 'i' else width}")
+    except (ValueError, TypeError, struct.error) as exc:
         raise ValueError(f"unreadable WAV file {path}: {exc}") from exc
-    if data.ndim != 1:
+    if channels != 1:
         raise ValueError("mono required")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise ValueError(f"unsupported WAV sample format: {data.dtype}")
-    return TimeSignal(samples, int(rate))
+    if dtype not in (np.int16, np.float32, np.float64):
+        raise ValueError(f"unsupported WAV sample format: {dtype}")
+    if len(data) % width:
+        raise ValueError(f"unreadable WAV file {path}: a data chunk of {len(data)} bytes is not whole samples")
+    samples = np.frombuffer(data, dtype).astype(np.float64)
+    return TimeSignal(samples / 32768.0 if tag == 1 else samples, rate)
 
 
 def write_wav(path, signal: TimeSignal) -> None:
-    """Write a mono IEEE float32 WAV file."""
-    wavfile.write(path, signal.sample_rate, signal.samples.astype(np.float32))
+    """Write a mono IEEE float32 WAV file: an 18-byte ``fmt `` chunk, a ``fact`` chunk, then ``data``."""
+    data, rate = signal.samples.astype("<f4"), signal.sample_rate
+    with open(path, "wb") as fid:
+        fid.write(struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF", 50 + data.nbytes, b"WAVE", b"fmt ", 18, 3, 1,
+                              rate, 4 * rate, 4, 32, 0, b"fact", 4, data.size, b"data", data.nbytes))
+        fid.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +242,11 @@ class DatasetManifest:
         return [it for it in self.items if it.split == split]
 
 
+_STFT_KEYS = ("sample_rate", "window_length", "hop")  # a manifest's optional StftConfig fields
+
 # What each typed manifest value must be, checked where the manifest is read.
 _MANIFEST_VALUES = {
-    **dict.fromkeys(("sample_rate", "window_length", "hop"), (_is_int, "an integer")),
+    **dict.fromkeys(_STFT_KEYS, (_is_int, "an integer")),
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "isnr_db": (lambda v: _is_real(v) and _noise_gain(1.0, 1.0, v) is not None,  # as make_mixture, at unit powers
                 "a number whose noise gain 10^(-isnr_db/20) is finite and > 0"),
@@ -243,15 +273,10 @@ def load_manifest(path) -> DatasetManifest:
         if not isinstance(item, dict) or set(item) != keys:
             raise ValueError(f"manifest item {n} must have exactly the keys {sorted(keys)}: {item!r}")
         _check_values(f"manifest item {n}", item)
-    stft_keys = {key: doc[key] for key in ("sample_rate", "window_length", "hop") if key in doc}
+    stft_keys = {key: doc[key] for key in _STFT_KEYS if key in doc}
     return DatasetManifest([ManifestItem(**it) for it in doc["items"]], root=path.parent, **stft_keys)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {
-        "sample_rate": manifest.sample_rate,
-        "window_length": manifest.window_length,
-        "hop": manifest.hop,
-        "items": [asdict(it) for it in manifest.items],
-    }
+    doc = {**{key: getattr(manifest, key) for key in _STFT_KEYS}, "items": [asdict(it) for it in manifest.items]}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -257,6 +258,17 @@ class TestSeparate:
         assert "non-finite loss" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    def test_truncated_mixture_exit_3(self, separation_setup, tmp_path, capsys):
+        # Cut by one sample: scipy's reader returned the rest with a warning, and separate went on.
+        _, mix_path, mag_paths, _, _ = separation_setup
+        mix_path.write_bytes(mix_path.read_bytes()[:-4])
+        out = tmp_path / "sep"
+        code = main(["separate", "--mixture", str(mix_path), "--mags", *mag_paths,
+                     "--algo", "misi", "--iters", "2", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "truncated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shape_mismatch_exit_3(self, separation_setup, tmp_path):
         _, mix_path, _, _, _ = separation_setup
         bad = tmp_path / "bad.spgm"
@@ -511,6 +523,17 @@ class TestBenchmark:
         cfg_path.write_text(json.dumps(doc))
         assert main(["benchmark", "--config", str(cfg_path), "--jobs", "0"]) == EXIT_USAGE
         assert not (tmp_path / "out").exists()
+
+
+def test_cold_import_loads_no_scipy_or_multiprocessing():
+    # scipy.io took about 90 ms of a fresh `specinv separate`; the process pool loads on first use.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", "import specinv.cli, sys; print(sorted(sys.modules))"],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = ast.literal_eval(proc.stdout)
+    assert "specinv.cli" in modules
+    assert [m for m in modules if m.split(".")[0] in ("scipy", "multiprocessing")] == []
 
 
 class TestUsage:
