@@ -224,29 +224,25 @@ def _block_pass(step, sources, mixture, mags, weights, sigma, cons, cfg, k=0, re
     out = np.empty_like(sources) if cons is None else cons
 
     def blocks_of(first, stop):  # in a pool thread, but for the first range
-        records, partial = [], (0.0, 0.0, 0.0)
+        block_losses = []
         for b in blocks[first:stop]:
             s, x, v, w, z = (a if np.ndim(a) == 0 else a[..., b] for a in (sources, mixture, mags, weights, cons))
-            losses = ((mixing_error(s, x), inconsistency(s, cfg, z), magnitude_mismatch(s, v)) if record_losses
-                      else (0.0, 0.0, 0.0))
-            partial = [t + loss for t, loss in zip(partial, losses)]
-            if not all(map(math.isfinite, partial)):
-                return records + [(losses, f"non-finite loss at iterate {k}")]
+            if record_losses:
+                block_losses.append((mixing_error(s, x), inconsistency(s, cfg, z), magnitude_mismatch(s, v)))
+                if not all(map(math.isfinite, block_losses[-1])):
+                    raise FloatingPointError(f"non-finite loss at iterate {k}")
             if step is not None:
                 block = step(s, x, v, w, sigma, z)
                 if not _all_finite(block):
-                    return records + [(losses, "non-finite estimate produced")]
+                    raise FloatingPointError("non-finite estimate produced")
                 out[..., b] = block
-            records.append((losses, None))
-        return records
+        return block_losses
 
     sums = [0.0, 0.0, 0.0]
-    for losses, error in sum(_fan_out(blocks_of, len(blocks)), []):  # in frame order, as one thread stops
+    for losses in sum(_fan_out(blocks_of, len(blocks)), []):  # in frame order
         sums = [t + loss for t, loss in zip(sums, losses)]
-        if not all(map(math.isfinite, sums)):
-            raise FloatingPointError(f"non-finite loss at iterate {k}")
-        if error:
-            raise FloatingPointError(error)
+    if not all(map(math.isfinite, sums)):
+        raise FloatingPointError(f"non-finite loss at iterate {k}")
     return out, sums
 
 
@@ -281,17 +277,17 @@ def run(
     trace keeps the last iterate's signals (``RunTrace.signals``).
 
     The pass splits the blocks into contiguous ranges, one per thread of G's
-    budget: the calling thread takes the first, G's pool the others.  Each
-    thread takes its blocks in frame order: the block's three losses of S_k,
-    stopping at a non-finite partial sum, then the step, whose result is
-    checked and written over that block of G(S_k) (which nothing reads
-    again), stopping at a non-finite one.  The calling thread then replays
-    the blocks in frame order, adding their losses to running sums, and
-    raises ``FloatingPointError`` at the first non-finite sum or iterate, as
-    one thread would; blocks of later ranges may have been stepped by then.
-    The estimates are the same bit for bit as on whole arrays at any thread
-    count; each loss is summed pairwise within a block, then the block sums
-    in frame order.
+    budget (``spectral._fan_out``): the calling thread takes the first, G's
+    pool the others.  Each thread takes its blocks in frame order: the
+    block's three losses of S_k, then the step, its result written over that
+    block of G(S_k), which nothing reads again.  A non-finite loss or result
+    raises ``FloatingPointError``; the first range's error, so the first in
+    frame order, is raised; blocks of later ranges may be stepped by then.
+    The calling thread then adds the block losses in frame order and raises
+    at a non-finite total: so where only the total overflows, a non-finite
+    step raises first, wherever it is.  The estimates are the same bit for
+    bit as on whole arrays at any thread count; each loss is summed pairwise
+    within a block, then the block sums in frame order.
     """
     started = time.perf_counter()
     sources = tf_layout(init_amplitude_mask(mixture, mags))  # checks the arrays; their fit to cfg below

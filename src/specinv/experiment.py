@@ -22,6 +22,7 @@ from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec,
 from .metrics import sdr
 from .signal_io import (
     ManifestItem,
+    _check_values,
     degrade_magnitudes,
     load_manifest,
     make_mixture,
@@ -51,6 +52,25 @@ def parse_sigma(text: str) -> float:
     return value
 
 
+def _distinct_list(entry, what: str, parsed=lambda v: v):
+    """The rule for a non-empty list whose entries pass ``entry`` and stay distinct once ``parsed``."""
+    return (lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(entry, v))
+            and len(set(map(parsed, v))) == len(v), f"a non-empty list of distinct {what}")
+
+
+# What each SweepConfig value must be, in the manifest's rule form (signal_io._check_values).
+_CONFIG_VALUES = {
+    **dict.fromkeys(("manifest", "output_dir"), (lambda v: isinstance(v, str), "a string")),
+    "families": _distinct_list(lambda v: True, "family names", Family),  # Family raises "not a valid Family"
+    "sigma_grid": _distinct_list(lambda v: _is_real(v) and v >= 0, "numbers >= 0"),
+    "degradation_levels": _distinct_list(lambda v: _is_real(v) and 0 <= v < SIGMA_INF, "finite numbers >= 0"),
+    "max_iterations": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "jobs": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1 or null"),
+    "weight_scheme": (lambda v: v in algorithms.WEIGHT_SCHEMES, " or ".join(map(repr, algorithms.WEIGHT_SCHEMES))),
+    "record_timing": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 @dataclass
 class SweepConfig:
     manifest: str
@@ -64,32 +84,8 @@ class SweepConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        for key in ("manifest", "output_dir"):
-            if not isinstance(getattr(self, key), str):
-                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
-        for key in ("families", "sigma_grid", "degradation_levels"):
-            value = getattr(self, key)
-            if not isinstance(value, (list, tuple)) or not value:
-                raise ValueError(f"{key} must be a non-empty list, got {value!r}")
-        if not all(_is_real(v) and v >= 0 for v in self.sigma_grid):
-            raise ValueError(f"sigma_grid must hold numbers >= 0, got {self.sigma_grid!r}")
-        if not all(_is_real(v) and 0 <= v < SIGMA_INF for v in self.degradation_levels):
-            raise ValueError(
-                f"degradation_levels must hold finite numbers >= 0, got {self.degradation_levels!r}"
-            )
-        if not _is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if self.jobs is not None and (not _is_int(self.jobs) or self.jobs < 1):
-            raise ValueError(f"jobs must be an integer >= 1 or null, got {self.jobs!r}")
-        if self.weight_scheme not in algorithms.WEIGHT_SCHEMES:
-            schemes = " or ".join(map(repr, algorithms.WEIGHT_SCHEMES))
-            raise ValueError(f"weight_scheme must be {schemes}, got {self.weight_scheme!r}")
-        if not isinstance(self.record_timing, bool):
-            raise ValueError(f"record_timing must be true or false, got {self.record_timing!r}")
+        _check_values("config", vars(self), _CONFIG_VALUES)
         self.families = [Family(f).value for f in self.families]
-        for key in ("families", "sigma_grid", "degradation_levels"):  # each entry once, compared as parsed
-            if len(set(getattr(self, key))) < len(getattr(self, key)):
-                raise ValueError(f"{key} must not repeat an entry, got {getattr(self, key)!r}")
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -106,11 +102,8 @@ def load_sweep_config(path) -> SweepConfig:
         doc["sigma_grid"] = [parse_sigma(s) for s in doc["sigma_grid"]]
     base = Path(path).parent
     cfg = SweepConfig(**doc)
-    # Paths in the config file are relative to the file itself.
-    if not Path(cfg.manifest).is_absolute():
-        cfg.manifest = str(base / cfg.manifest)
-    if not Path(cfg.output_dir).is_absolute():
-        cfg.output_dir = str(base / cfg.output_dir)
+    # Paths in the config file are relative to the file itself; base / p is p where p is absolute.
+    cfg.manifest, cfg.output_dir = str(base / cfg.manifest), str(base / cfg.output_dir)
     return cfg
 
 
@@ -283,7 +276,8 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
 def run_benchmark(cfg: SweepConfig) -> dict[str, Path]:
     """Full protocol: validation sweep, selection, test evaluation, CSVs."""
     for task in _build_tasks(cfg, "test", []):  # an empty test split or a bad test item fails here, not after the sweep
-        _process_item(task)  # with no jobs: reads, checks, mixes and transforms the item, and runs nothing
+        if task.degradation == cfg.degradation_levels[0]:  # degrade_magnitudes cannot fail on a checked level
+            _process_item(task)  # with no jobs: reads, checks, mixes and transforms the item, and runs nothing
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     validation = run_sweep(cfg)

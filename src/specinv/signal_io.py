@@ -255,9 +255,9 @@ _MANIFEST_VALUES = {
 }
 
 
-def _check_values(where: str, doc: dict) -> None:
+def _check_values(where: str, doc: dict, rules: dict = _MANIFEST_VALUES) -> None:
     for key, value in doc.items():
-        valid, what = _MANIFEST_VALUES.get(key, (lambda v: True, ""))
+        valid, what = rules.get(key, (lambda v: True, ""))
         if not valid(value):
             raise ValueError(f"{where}: {key!r} must be {what}, got {value!r}")
 

@@ -233,6 +233,18 @@ def test_first_non_finite_in_frame_order_is_raised(monkeypatch, thread_budget, t
         run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG)
 
 
+@pytest.mark.parametrize("threads", (1, 2, 3))
+def test_total_that_overflows_while_every_block_is_finite(monkeypatch, thread_budget, threads):
+    # Six blocks of 7 frames over 41, each with a mixing loss of 1e308: no
+    # block's loss is non-finite, so only the total of the block sums is.
+    thread_budget(threads)
+    mixture, mags = _problem(2)
+    _set_width(monkeypatch, mags.shape, 7)
+    monkeypatch.setattr(algorithms, "mixing_error", lambda sources, mixture: 1e308)
+    with pytest.raises(FloatingPointError, match="non-finite loss at iterate 0"):
+        run(AlgorithmSpec(Family.MISI, iterations=1), mixture, mags, CFG)
+
+
 @pytest.mark.parametrize("threads", (2, 3))
 def test_step_that_calls_g_in_a_pool_thread(threads):
     # A pool thread's G must not queue ranges behind its own: with every pool

@@ -28,6 +28,7 @@ from specinv.experiment import (
     select_best,
     usable_cpus,
 )
+from specinv.signal_io import read_wav
 from specinv.synth import generate_dataset
 
 
@@ -275,6 +276,23 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="manifest has no test items"):
             run_benchmark(cfg)
 
+    def test_each_test_item_is_checked_once_before_the_sweep(self, tiny_config, monkeypatch):
+        # 2 test items at 3 levels: each item's clean and noise WAVs are read once, not once per level.
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_wav(path)
+
+        def stop(cfg):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(experiment, "read_wav", counting)
+        monkeypatch.setattr(experiment, "run_sweep", stop)
+        with pytest.raises(AssertionError, match="the sweep started"):
+            run_benchmark(dataclasses.replace(tiny_config, degradation_levels=[0.0, 0.2, 0.5]))
+        assert len(reads) == 2 * 2
+
     def test_evaluate_test_requires_all_selections(self, tiny_config):
         with pytest.raises(ValueError, match="selection"):
             evaluate_test({"am": (0.0, 0)}, tiny_config)
@@ -338,8 +356,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key, value, message", [
         ("families", [["misi"], ["misi"]], "not a valid Family"),
-        ("sigma_grid", [[1], [1]], "sigma_grid must hold numbers"),
-        ("degradation_levels", [{}, {}], "degradation_levels must hold finite numbers"),
+        ("sigma_grid", [[1], [1]], "'sigma_grid' must be a non-empty list of distinct numbers"),
+        ("degradation_levels", [{}, {}], "'degradation_levels' must be a non-empty list of distinct finite numbers"),
     ])
     def test_unhashable_entry_gets_its_type_message(self, key, value, message):
         with pytest.raises(ValueError, match=message):

@@ -320,6 +320,46 @@ class TestSpgm:
         assert (tmp_path / "a.spgm").read_bytes() == (tmp_path / "b.spgm").read_bytes()
 
 
+SPGM_HEADER = "<4sBBII"  # magic, version, payload kind, rows, columns
+
+
+@st.composite
+def mutated_spgms(draw):
+    """A valid SPGM file of up to 4 x 4, its magic, version, kind or dimensions maybe mutated, maybe cut short."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    header = {"magic": b"SPGM", "version": 1, "kind": 0, "rows": rows, "cols": cols}
+    mutations = {"magic": st.sampled_from([b"SPGm", b"MGPS", b"RIFF", bytes(4)]), "version": st.integers(0, 255),
+                 "kind": st.integers(0, 255), "rows": st.integers(0, 2**32 - 1), "cols": st.integers(0, 2**32 - 1)}
+    for name in draw(st.sets(st.sampled_from(sorted(mutations)), max_size=2)):
+        header[name] = draw(mutations[name])
+    raw = struct.pack(SPGM_HEADER, *header.values()) + np.arange(rows * cols, dtype="<f8").tobytes()
+    return raw[:draw(st.sampled_from([len(raw), len(raw) - 1, len(raw) - 8]) | st.integers(0, len(raw)))]
+
+
+class TestSpgmFuzz:
+    @staticmethod
+    def _read_or_value_error(path, raw):
+        """``read_spectrogram`` of ``raw``: a float64 matrix of the payload's bytes, or a ``ValueError``."""
+        path.write_bytes(raw)
+        try:
+            matrix = read_spectrogram(path)
+        except ValueError:
+            return
+        assert matrix.dtype == np.float64 and matrix.ndim == 2
+        assert matrix.shape == struct.unpack_from(SPGM_HEADER, raw)[3:]
+        assert matrix.astype("<f8").tobytes() == raw[struct.calcsize(SPGM_HEADER):]
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(raw=st.binary(max_size=60))
+    def test_arbitrary_bytes(self, fuzz_path, raw):
+        self._read_or_value_error(fuzz_path, raw)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(raw=mutated_spgms())
+    def test_mutated_headers(self, fuzz_path, raw):
+        self._read_or_value_error(fuzz_path, raw)
+
+
 class TestMixture:
     def _signals(self, rng, n=4000, extra=500):
         clean = TimeSignal(rng.standard_normal(n), 16000)
