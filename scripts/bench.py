@@ -118,8 +118,7 @@ def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
     signal_io.write_wav(root / "clean.wav", synth.speech_like(seconds, SAMPLE_RATE, seed=1))
     signal_io.write_wav(root / "noise.wav", synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2))
     item = signal_io.ManifestItem("clean.wav", "noise.wav", isnr_db=0.0, seed=3, split="validation")
-    signal_io.save_manifest(signal_io.DatasetManifest([item], cfg.sample_rate, cfg.window_length, cfg.hop),
-                            root / "manifest.json")
+    signal_io.save_manifest(signal_io.DatasetManifest([item], cfg), root / "manifest.json")
     sweep = experiment.SweepConfig(manifest=str(root / "manifest.json"), output_dir="",
                                    degradation_levels=[DEGRADATION], record_timing=False)
     (task,) = experiment._build_tasks(sweep, "validation", experiment._sweep_jobs(sweep))
@@ -199,15 +198,20 @@ def time_in_subprocess(src: Path, row: str) -> float:
     return float(proc.stdout.strip().splitlines()[-1])
 
 
-def compare(rev: str, pairs: int, tmp: Path) -> dict[str, object]:
-    """Interleaved baseline/working-tree timings of every row."""
+def export(rev: str, dest: Path) -> str:
+    """Extract commit ``rev`` of this repository into the new directory ``dest`` with ``git archive``; its sha."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
-    base = tmp / "baseline"
-    base.mkdir()
+    dest.mkdir()
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, capture_output=True, check=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-    sides = {"baseline": base / "src", "change": ROOT / "src"}
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return sha
+
+
+def compare(rev: str, pairs: int, tmp: Path) -> dict[str, object]:
+    """Interleaved baseline/working-tree timings of every row."""
+    sha = export(rev, tmp / "baseline")
+    sides = {"baseline": tmp / "baseline" / "src", "change": ROOT / "src"}
     times = {r: {side: [] for side in sides} for r in row_names(tmp)}
     for i in range(pairs):
         for j, row in enumerate(times):

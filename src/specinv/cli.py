@@ -2,8 +2,8 @@
 
 Thin adapters only: every numerical result comes from the library modules.
 Exit codes: 0 success, 2 I/O or out-of-memory error or a dead worker
-process, 3 usage/validation error, 4 numerical failure (an algorithm
-produced a non-finite estimate or loss).
+process, 3 usage/validation error (an ``OverflowError`` included), 4
+numerical failure (an algorithm produced a non-finite estimate or loss).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:

@@ -22,7 +22,7 @@ from .algorithms import DEFAULT_MAX_ITERATIONS, RULES, SIGMA_INF, AlgorithmSpec,
 from .metrics import sdr
 from .signal_io import (
     ManifestItem,
-    _check_values,
+    _check_object,
     degrade_magnitudes,
     load_manifest,
     make_mixture,
@@ -58,7 +58,7 @@ def _distinct_list(entry, what: str, parsed=lambda v: v):
             and len(set(map(parsed, v))) == len(v), f"a non-empty list of distinct {what}")
 
 
-# What each SweepConfig value must be, in the manifest's rule form (signal_io._check_values).
+# What each SweepConfig value must be, in the manifest's rule form (signal_io._check_object).
 _CONFIG_VALUES = {
     **dict.fromkeys(("manifest", "output_dir"), (lambda v: isinstance(v, str), "a string")),
     "families": _distinct_list(lambda v: True, "family names", Family),  # Family raises "not a valid Family"
@@ -84,20 +84,14 @@ class SweepConfig:
     record_timing: bool = True
 
     def __post_init__(self):
-        _check_values("config", vars(self), _CONFIG_VALUES)
+        _check_object("config", vars(self), _CONFIG_VALUES)
         self.families = [Family(f).value for f in self.families]
 
 
 def load_sweep_config(path) -> SweepConfig:
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(SweepConfig)})
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    missing = [key for key in ("manifest", "output_dir") if key not in doc]
-    if missing:
-        raise ValueError(f"missing config key(s): {', '.join(missing)}")
+    # The keys here; the values in SweepConfig, once sigma_grid's strings are parsed.
+    _check_object("config", doc, dict.fromkeys(_CONFIG_VALUES, (lambda v: True, "")), ("manifest", "output_dir"))
     if isinstance(doc.get("sigma_grid"), list):  # else SweepConfig names the bad value
         doc["sigma_grid"] = [parse_sigma(s) for s in doc["sigma_grid"]]
     base = Path(path).parent
@@ -187,7 +181,7 @@ class _ItemTask:
 
 
 def _process_item(task: _ItemTask) -> list[ItemRecord]:
-    """The item's records at every job; a ValueError or FloatingPointError names the item."""
+    """The item's records at every job; a ValueError, OverflowError or FloatingPointError names the item."""
     item, level, stft_cfg = task.item, task.degradation, task.stft_cfg
     try:
         clean = read_wav(task.root / item.clean_path)
@@ -213,7 +207,7 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
 
             algorithms.run(spec, mixture_spec, mags, stft_cfg, on_iterate=observe, record_losses=False)
         return records
-    except (ValueError, FloatingPointError) as exc:  # an OSError names its file already
+    except (ValueError, OverflowError, FloatingPointError) as exc:  # an OSError names its file already
         kind = FloatingPointError if isinstance(exc, FloatingPointError) else ValueError
         raise kind(f"{task.item_id}: {exc}") from exc
 
@@ -233,8 +227,7 @@ def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
 
 def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_Job]) -> list[_ItemTask]:
     manifest = load_manifest(cfg.manifest)
-    stft_cfg = manifest.stft_config()
-    tasks = [_ItemTask(manifest.root, item, level, cfg.record_timing, stft_cfg, tuple(algo_jobs))
+    tasks = [_ItemTask(manifest.root, item, level, cfg.record_timing, manifest.stft, tuple(algo_jobs))
              for item in manifest.split_items(split) for level in cfg.degradation_levels]
     if not tasks:
         raise ValueError(f"manifest has no {split} items")

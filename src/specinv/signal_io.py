@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,8 @@ def read_wav(path) -> TimeSignal:
 def write_wav(path, signal: TimeSignal) -> None:
     """Write a mono IEEE float32 WAV file: an 18-byte ``fmt `` chunk, a ``fact`` chunk, then ``data``."""
     data, rate = signal.samples.astype("<f4"), signal.sample_rate
+    if not 0 <= 4 * rate < 2**32:  # the header's byte rate is a u32
+        raise ValueError(f"sample rate {rate} Hz cannot be written: a WAV's byte rate 4 x rate must be < 2^32")
     with open(path, "wb") as fid:
         fid.write(struct.pack("<4sI4s4sIHHIIHHH4sII4sI", b"RIFF", 50 + data.nbytes, b"WAVE", b"fmt ", 18, 3, 1,
                               rate, 4 * rate, 4, 32, 0, b"fact", 4, data.size, b"data", data.nbytes))
@@ -212,6 +214,37 @@ def degrade_magnitudes(mags: np.ndarray, level: float, seed: int) -> np.ndarray:
 # Dataset manifest
 # ---------------------------------------------------------------------------
 
+_STFT_KEYS = ("sample_rate", "window_length", "hop")  # a manifest's optional StftConfig fields
+
+# What each key of a manifest, and of a manifest item, must hold; _check_object applies the rules.
+_MANIFEST_VALUES = {
+    **dict.fromkeys(_STFT_KEYS, (_is_int, "an integer")),
+    "items": (lambda v: isinstance(v, list), "a list"),
+    "n_sources": (lambda v: True, "anything"),  # old manifests carry it; nothing reads it
+}
+_ITEM_VALUES = {
+    **dict.fromkeys(("clean_path", "noise_path"),
+                    (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
+    "isnr_db": (lambda v: _is_real(v) and _noise_gain(1.0, 1.0, v) is not None,  # as make_mixture, at unit powers
+                "a number whose noise gain 10^(-isnr_db/20) is finite and > 0"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "split": (lambda v: v in ("validation", "test"), "'validation' or 'test'"),
+}
+
+
+def _check_object(where: str, doc, rules: dict, required=()) -> None:
+    """Raise ``ValueError`` unless ``doc`` is a dict of keys from ``rules``, ``required`` among them, all valid."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object with keys from {', '.join(rules)}; got {type(doc).__name__}")
+    for what, keys in ("unknown", sorted(set(doc) - set(rules))), ("missing", sorted(set(required) - set(doc))):
+        if keys:
+            raise ValueError(f"{where}: {what} key(s) {', '.join(keys)}; the keys are {', '.join(rules)}")
+    for key, value in doc.items():
+        valid, what = rules[key]
+        if not valid(value):
+            raise ValueError(f"{where}: {key!r} must be {what}, got {value!r}")
+
+
 @dataclass
 class ManifestItem:
     clean_path: str
@@ -221,62 +254,29 @@ class ManifestItem:
     split: str  # "validation" | "test"
 
     def __post_init__(self):
-        if not self.clean_path or not self.noise_path:
-            raise ValueError("manifest paths must be non-empty")
-        if self.split not in ("validation", "test"):
-            raise ValueError(f"unknown split: {self.split}")
+        _check_object("manifest item", vars(self), _ITEM_VALUES)
 
 
 @dataclass
 class DatasetManifest:
     items: list[ManifestItem]
-    sample_rate: int = StftConfig.sample_rate
-    window_length: int = StftConfig.window_length
-    hop: int = StftConfig.hop
+    stft: StftConfig = StftConfig()
     root: Path = field(default_factory=Path)
-
-    def stft_config(self) -> StftConfig:
-        return StftConfig(window_length=self.window_length, hop=self.hop, sample_rate=self.sample_rate)
 
     def split_items(self, split: str) -> list[ManifestItem]:
         return [it for it in self.items if it.split == split]
 
 
-_STFT_KEYS = ("sample_rate", "window_length", "hop")  # a manifest's optional StftConfig fields
-
-# What each typed manifest value must be, checked where the manifest is read.
-_MANIFEST_VALUES = {
-    **dict.fromkeys(_STFT_KEYS, (_is_int, "an integer")),
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "isnr_db": (lambda v: _is_real(v) and _noise_gain(1.0, 1.0, v) is not None,  # as make_mixture, at unit powers
-                "a number whose noise gain 10^(-isnr_db/20) is finite and > 0"),
-    **dict.fromkeys(("clean_path", "noise_path"),
-                    (lambda v: isinstance(v, str) and v != "", "a non-empty string")),
-}
-
-
-def _check_values(where: str, doc: dict, rules: dict = _MANIFEST_VALUES) -> None:
-    for key, value in doc.items():
-        valid, what = rules.get(key, (lambda v: True, ""))
-        if not valid(value):
-            raise ValueError(f"{where}: {key!r} must be {what}, got {value!r}")
-
-
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
-        raise ValueError(f"manifest {path} must be a JSON object with an 'items' list")
-    _check_values(f"manifest {path}", doc)
-    keys = {f.name for f in fields(ManifestItem)}
+    _check_object(f"manifest {path}", doc, _MANIFEST_VALUES, required=("items",))
     for n, item in enumerate(doc["items"]):
-        if not isinstance(item, dict) or set(item) != keys:
-            raise ValueError(f"manifest item {n} must have exactly the keys {sorted(keys)}: {item!r}")
-        _check_values(f"manifest item {n}", item)
-    stft_keys = {key: doc[key] for key in _STFT_KEYS if key in doc}
-    return DatasetManifest([ManifestItem(**it) for it in doc["items"]], root=path.parent, **stft_keys)
+        _check_object(f"manifest item {n}", item, _ITEM_VALUES, required=tuple(_ITEM_VALUES))
+    stft_cfg = StftConfig(**{key: doc[key] for key in _STFT_KEYS if key in doc})
+    return DatasetManifest([ManifestItem(**it) for it in doc["items"]], stft_cfg, path.parent)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {**{key: getattr(manifest, key) for key in _STFT_KEYS}, "items": [asdict(it) for it in manifest.items]}
+    doc = {**{key: getattr(manifest.stft, key) for key in _STFT_KEYS}, "items": [asdict(it) for it in manifest.items]}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

@@ -182,11 +182,7 @@ def _fan_out(fn, n: int) -> list:
 
 def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """One-sided STFT, returned as an F x T complex matrix in (T, F) memory."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("signal must be one-dimensional")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("signal contains non-finite samples")
+    x = TimeSignal(x).samples
     n_frames = cfg.num_frames(x.size)
     buf = np.zeros((1, n_frames + cfg.pad // cfg.hop, cfg.hop))
     buf.reshape(-1)[cfg.pad : cfg.pad + x.size] = x

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .signal_io import DatasetManifest, ManifestItem, TimeSignal, save_manifest, write_wav
+from .signal_io import DatasetManifest, ManifestItem, StftConfig, TimeSignal, save_manifest, write_wav
 
 
 def speech_like(duration: float, sample_rate: int, seed: int) -> TimeSignal:
@@ -86,7 +86,7 @@ def generate_dataset(
                 )
             )
             idx += 1
-    manifest = DatasetManifest(items=items, sample_rate=sample_rate, root=out_dir)
+    manifest = DatasetManifest(items, StftConfig(sample_rate=sample_rate), out_dir)
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest, manifest_path)
     return manifest_path

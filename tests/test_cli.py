@@ -19,6 +19,7 @@ from specinv.signal_io import (
     write_wav,
 )
 from specinv.synth import generate_dataset, noise_like, speech_like
+from test_signal_io import _fmt, _wav
 
 
 def _die(*args, **kwargs):
@@ -92,6 +93,16 @@ class TestMix:
             outs.append([(tmp_path / name / f).read_bytes() for f in ("mixture.wav", "mix.json")])
         assert outs[0] == outs[1]
         assert json.loads(outs[0][1])["isnr_target_db"] == -10.0
+
+    @pytest.mark.parametrize("rate", [2**30 + 1, 2**32 - 1])
+    def test_rate_too_high_to_write_exit_3(self, tmp_path, capsys, rate):
+        # read_wav takes any u32 rate, but a float32 WAV's byte rate, 4 x rate, must fit a u32 too.
+        wav = tmp_path / "x.wav"
+        wav.write_bytes(_wav(_fmt(3, 32, rate), np.arange(1, 9, dtype="<f4").tobytes()))
+        code = main(["mix", "--clean", str(wav), "--noise", str(wav), "--isnr", "0", "--out", str(tmp_path / "mix")])
+        assert code == EXIT_USAGE
+        assert f"sample rate {rate} Hz" in capsys.readouterr().err
+        assert not list((tmp_path / "mix").glob("*.wav"))
 
     def test_same_seed_identical_outputs(self, audio_pair, tmp_path):
         clean, noise = audio_pair
@@ -391,6 +402,7 @@ class TestBenchmark:
         ({"items": [{**ITEM, "isnr_db": 1e308}]}, "isnr_db"),
         ({"items": [{**ITEM, "seed": -1}]}, "'seed' must be an integer >= 0"),
         ({"items": [ITEM, {**ITEM, "seed": -1}]}, "item 1: 'seed'"),
+        ({"items": [ITEM], "window": 512}, "window"),
     ])
     def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
         (tmp_path / "m.json").write_text(json.dumps(manifest))

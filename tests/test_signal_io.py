@@ -466,7 +466,7 @@ class TestManifest:
         assert len(back.items) == 2
         assert back.items[0].split == "validation"
         assert back.items[1].isnr_db == 10.0
-        assert back.stft_config().window_length == 1024
+        assert back.stft.window_length == 1024
         assert back.root == tmp_path  # the items' paths are relative to the manifest's directory
 
     def test_old_manifest_with_n_sources_loads(self, tmp_path):
@@ -478,7 +478,7 @@ class TestManifest:
         }
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         back = load_manifest(tmp_path / "manifest.json")
-        assert back.stft_config() == StftConfig(window_length=256, hop=64, sample_rate=8000)
+        assert back.stft == StftConfig(window_length=256, hop=64, sample_rate=8000)
         assert back.items == [ManifestItem("validation/c0.wav", "validation/n0.wav", 5.0, 3, "validation")]
         save_manifest(back, tmp_path / "resaved.json")
         assert "n_sources" not in json.loads((tmp_path / "resaved.json").read_text())
