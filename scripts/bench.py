@@ -1,8 +1,22 @@
 #!/usr/bin/env python3
-"""Time specinv layer by layer: one warm-up, then the median of N calls.
+"""Time specinv layer by layer: a commit against the working tree, in interleaved subprocesses.
 
-For a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources, oracle
-magnitudes degraded at level 0.2, as in the benchmark's sweep) it times
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH.json --baseline HEAD~1 --pairs 5
+
+The script exports the commit ``--baseline`` REV with ``git archive`` into a
+temporary directory and times each row in fresh subprocesses, baseline and
+working tree alternately, for ``--pairs`` pairs; which side goes first
+alternates from pair to pair and row to row.  Both sides run this file,
+each importing its own ``src``.  Each row reports both medians, the median
+of the per-pair ratios working tree / baseline, and in how many pairs the
+working tree was faster.  The record goes under ``--label`` in the JSON
+file ``--out``; other labels already in the file are kept.  Run with
+REV = HEAD on a clean tree, it measures the spread between two runs of the
+same code.  REV must be c76d615 or later: the step rows call
+``algorithms._block_pass``, which that commit added.
+
+The rows: for a 4 s and a 20 s clip (16 kHz, Hann 1024/256, two sources,
+oracle magnitudes degraded at level 0.2, as in the benchmark's sweep)
 ``stft``, ``istft``, G on one source (``g_operator``) and on the source set
 (``p_cons``), ``unit_phasor``, ``p_mix``, ``p_mag``, one step of each
 family (sigma 1 where the family has one; each timed call is G(S) once,
@@ -10,39 +24,18 @@ then ``run``'s own pass over the frame blocks without losses: for each block
 the step, its finiteness check and its write over that block of G, with the
 blocks split over G's threads) and one
 20-iteration ``run`` of ``mix_incons_hardmag`` at sigma 1 with its losses
-recorded.  On the 4 s clip it also times a ``run`` of every family as
+recorded.  On the 4 s clip also a ``run`` of every family as
 ``specinv separate`` runs it (losses recorded, magnitude-ratio weights,
 sigma 1 where the family has one, 20 iterations unless the family fixes
 the count), the same ``run`` without its losses (``_nolosses``: the
 difference is what recording the losses costs) and one sweep task:
 ``experiment._process_item`` on one item at one degradation level, with the
 default sweep's 30 configurations.  The ``cold_import_cli`` row is a
-fresh ``python -c "import specinv.cli"`` on the ``src`` that this script
-imported specinv from: what every ``specinv`` command pays before it
-starts.  Timings are wall-clock milliseconds from ``time.perf_counter``:
-the median of 7 calls per layer (7 subprocesses for ``cold_import_cli``),
-of 3 for a ``run`` or a sweep task.
-
-The results go under ``--label`` in the JSON file ``--out``; other labels
-already in the file are kept, so the same file can hold a before and an
-after run.  Time another checkout by putting its ``src`` first on
-``PYTHONPATH``.
-
-    PYTHONPATH=src python3 scripts/bench.py --label after --out BENCH.json
-
-With ``--baseline REV`` the script compares the commit REV with the working
-tree instead.  It exports REV with ``git archive`` into a temporary
-directory and times each row in fresh subprocesses, baseline and
-working tree alternately, for ``--pairs`` pairs; which side goes first
-alternates from pair to pair and row to row.  Both sides run this file,
-each importing its own ``src``.  Each row reports both medians, the
-median of the per-pair ratios working tree / baseline, and in how many
-pairs the working tree was faster.  Run with REV = HEAD on a clean tree,
-it measures the spread between two runs of the same code.  REV must be
-c76d615 or later: the step rows call ``algorithms._block_pass``, which that
-commit added.
-
-    PYTHONPATH=src python3 scripts/bench.py --label aa --out BENCH.json --baseline HEAD --pairs 5
+fresh ``python -c "import specinv.cli"`` on the side's ``src``: what every
+``specinv`` command pays before it starts.  Each subprocess times one row
+in wall-clock milliseconds from ``time.perf_counter``: one warm-up, then the
+median of 7 calls (7 fresh interpreters for ``cold_import_cli``), of 3 for
+a ``run`` or a sweep task.
 """
 
 from __future__ import annotations
@@ -66,7 +59,6 @@ import specinv
 from specinv import algorithms, experiment, projectors, signal_io, spectral, synth
 from specinv.algorithms import AlgorithmSpec, Family
 
-SAMPLE_RATE = 16000
 DEGRADATION = 0.2
 CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
@@ -92,8 +84,8 @@ def blocked_step(step, sources, mixture, mags, weights, cfg):
 
 
 def problem(seconds: float, cfg: spectral.StftConfig):
-    clean = synth.speech_like(seconds, SAMPLE_RATE, seed=1)
-    noise = synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2)
+    clean = synth.speech_like(seconds, cfg.sample_rate, seed=1)
+    noise = synth.noise_like(seconds + 1.0, cfg.sample_rate, seed=2)
     mix = signal_io.make_mixture(clean, noise, 0.0, seed=3)
     mixture = spectral.stft(mix.mixture.samples, cfg)
     mags = signal_io.oracle_magnitudes([clean, mix.scaled_noise], cfg)
@@ -115,8 +107,8 @@ def family_runs(mixture, mags, cfg) -> dict:
 
 def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
     """One sweep task: one item at one degradation level, all 30 configurations."""
-    signal_io.write_wav(root / "clean.wav", synth.speech_like(seconds, SAMPLE_RATE, seed=1))
-    signal_io.write_wav(root / "noise.wav", synth.noise_like(seconds + 1.0, SAMPLE_RATE, seed=2))
+    signal_io.write_wav(root / "clean.wav", synth.speech_like(seconds, cfg.sample_rate, seed=1))
+    signal_io.write_wav(root / "noise.wav", synth.noise_like(seconds + 1.0, cfg.sample_rate, seed=2))
     item = signal_io.ManifestItem("clean.wav", "noise.wav", isnr_db=0.0, seed=3, split="validation")
     signal_io.save_manifest(signal_io.DatasetManifest([item], cfg), root / "manifest.json")
     sweep = experiment.SweepConfig(manifest=str(root / "manifest.json"), output_dir="",
@@ -126,8 +118,8 @@ def sweep_task(seconds: float, cfg: spectral.StftConfig, root: Path):
 
 
 def clip_rows(seconds: float, tmp: Path):
-    """The rows of one clip, name -> call, and the shape of its source set."""
-    cfg = spectral.StftConfig(sample_rate=SAMPLE_RATE)
+    """The rows of one clip, name -> call."""
+    cfg = spectral.StftConfig()
     samples, mixture, mags = problem(seconds, cfg)
     sources = algorithms.init_amplitude_mask(mixture, mags)
     weights = projectors.weights_magnitude_ratio(mags)
@@ -155,7 +147,7 @@ def clip_rows(seconds: float, tmp: Path):
     if seconds == CLIPS[0]:
         layers.update(family_runs(mixture, mags, cfg))
         layers["sweep_task_30"] = sweep_task(seconds, cfg, tmp)
-    return layers, sources.shape
+    return layers
 
 
 def cold_import_cli() -> None:
@@ -169,17 +161,8 @@ def time_row(name: str, fn) -> float:
     return median_ms(fn, RUN_REPEATS if name.startswith(("run_", "sweep_")) else REPEATS)
 
 
-def time_clip(seconds: float, tmp: Path) -> dict[str, float]:
-    layers, shape = clip_rows(seconds, tmp)
-    out = {"source_shape": list(shape)}
-    for name, fn in layers.items():
-        out[f"{name}_ms"] = time_row(name, fn)
-        print(f"{seconds:g}s {name}: {out[f'{name}_ms']} ms", flush=True)
-    return out
-
-
 def row_names(tmp: Path) -> list[str]:
-    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)[0]] + [COLD_IMPORT]
+    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)] + [COLD_IMPORT]
 
 
 def row_call(row: str, tmp: Path):
@@ -187,7 +170,7 @@ def row_call(row: str, tmp: Path):
     if row == COLD_IMPORT:
         return cold_import_cli
     clip, name = row.split("/", 1)
-    return clip_rows(float(clip[:-1]), tmp)[0][name]
+    return clip_rows(float(clip[:-1]), tmp)[name]
 
 
 def time_in_subprocess(src: Path, row: str) -> float:
@@ -259,7 +242,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", type=Path, help="JSON file to write or update")
     parser.add_argument("--label", help="key for this run in the JSON file")
-    parser.add_argument("--baseline", metavar="REV", help="compare commit REV with the working tree")
+    parser.add_argument("--baseline", metavar="REV", help="the commit to compare with the working tree (required)")
     parser.add_argument("--pairs", type=int, default=5, help="baseline/working-tree pairs per row (default 5)")
     parser.add_argument("--row", help=argparse.SUPPRESS)  # internal: time one row, print its ms
     args = parser.parse_args()
@@ -267,17 +250,12 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             print(time_row(args.row.rsplit("/", 1)[-1], row_call(args.row, Path(tmp))))
         return
-    if args.out is None or args.label is None:
-        parser.error("--out and --label are required")
+    if args.out is None or args.label is None or args.baseline is None:
+        parser.error("--out, --label and --baseline are required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"machine": machine(), "repeats": REPEATS}
-        if args.baseline is None:
-            record["clips"] = {f"{s:g}s": time_clip(s, Path(tmp)) for s in CLIPS}
-            record[f"{COLD_IMPORT}_ms"] = time_row(COLD_IMPORT, cold_import_cli)
-        else:
-            record.update(compare(args.baseline, args.pairs, Path(tmp)))
+        record = {"machine": machine(), "repeats": REPEATS, **compare(args.baseline, args.pairs, Path(tmp))}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = record
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -60,6 +60,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mix = sub.add_parser("mix", help="mix clean speech with noise at a target iSNR")
+    mix.set_defaults(run=cmd_mix)
     mix.add_argument("--clean", required=True)
     mix.add_argument("--noise", required=True)
     mix.add_argument("--isnr", type=float, required=True)
@@ -67,6 +68,7 @@ def _build_parser() -> _Parser:
     mix.add_argument("--out", required=True)
 
     sep = sub.add_parser("separate", help="run a spectrogram-inversion algorithm")
+    sep.set_defaults(run=cmd_separate)
     sep.add_argument("--mixture", required=True)
     sep.add_argument("--mags", nargs="+", required=True, help="SPGM magnitude files, one per source")
     sep.add_argument("--algo", required=True)
@@ -78,10 +80,12 @@ def _build_parser() -> _Parser:
     sep.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="print the SDR between two WAV files")
+    ev.set_defaults(run=cmd_evaluate)
     ev.add_argument("--ref", required=True)
     ev.add_argument("--est", required=True)
 
     bench = sub.add_parser("benchmark", help="run the sweep + test protocol")
+    bench.set_defaults(run=cmd_benchmark)
     bench.add_argument("--config", required=True)
     bench.add_argument(
         "--jobs", type=int, default=None,
@@ -157,19 +161,11 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "mix": cmd_mix,
-    "separate": cmd_separate,
-    "evaluate": cmd_evaluate,
-    "benchmark": cmd_benchmark,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -155,6 +155,8 @@ def make_mixture(clean: TimeSignal, noise: TimeSignal, isnr_db: float, seed: int
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rate mismatch between clean and noise")
+    if len(clean) == 0:
+        raise ValueError("the clean signal has no samples")
     if len(noise) < len(clean):
         raise ValueError("noise must be at least as long as the clean signal")
     rng = np.random.default_rng(seed)
@@ -192,15 +194,13 @@ def oracle_magnitudes(sources: list[TimeSignal], cfg: StftConfig) -> np.ndarray:
 def degrade_magnitudes(mags: np.ndarray, level: float, seed: int) -> np.ndarray:
     """Multiplicative log-Gaussian degradation, a stand-in for DNN estimation error.
 
-    Each bin is multiplied by exp(e) with e ~ N(0, level^2).  Level 0 returns
-    the input unchanged; the output is nonnegative by construction and keeps
+    Each bin is multiplied by exp(e) with e ~ N(0, level^2), so level 0 returns
+    a bit-identical copy; the output is nonnegative by construction and keeps
     the input's memory layout.
     """
     if level < 0:
         raise ValueError("degradation level must be nonnegative")
     mags = np.asarray(mags, dtype=np.float64)
-    if level == 0:
-        return mags.copy(order="K")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, level, size=mags.shape)  # C order, whatever the layout of mags
     np.exp(noise, out=noise)

@@ -86,6 +86,8 @@ class StftConfig:
         if self.window_length // self.hop < 3:
             raise ValueError("window does not satisfy the COLA condition (window_length / hop must be >= 3)")
         object.__setattr__(self, "window", hann_periodic(self.window_length))
+        if self.window.size != self.window_length:  # np.arange(2**63) is empty
+            raise ValueError(f"window_length {self.window_length} builds a {self.window.size}-sample window")
 
     @property
     def pad(self) -> int:
@@ -113,7 +115,7 @@ class TimeSignal:
     """A real time-domain signal with its sample rate."""
 
     samples: np.ndarray
-    sample_rate: int = 16000
+    sample_rate: int = StftConfig.sample_rate
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)

@@ -58,7 +58,7 @@ def generate_dataset(
     seed: int = 0,
     duration: float = 4.0,
     noise_duration: float = 5.0,
-    sample_rate: int = 16000,
+    sample_rate: int = StftConfig.sample_rate,
     isnr_db: float = 0.0,
 ) -> Path:
     """Write clean/noise WAV pairs and a manifest; returns the manifest path."""

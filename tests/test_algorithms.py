@@ -223,8 +223,9 @@ class TestSpec:
         mixture, mags = synthetic_problem(rng, small_cfg)
         assert run(AlgorithmSpec(family=family), mixture, mags, small_cfg).warnings == []
 
-    @pytest.mark.parametrize("kwargs", [{"iterations": 2.5}, {"iterations": True}, {"sigma": "1"}],
-                             ids=["float_iterations", "bool_iterations", "str_sigma"])
+    @pytest.mark.parametrize("kwargs", [{"iterations": 2.5}, {"iterations": True}, {"sigma": "1"},
+                                        {"weight_scheme": "bogus"}],
+                             ids=["float_iterations", "bool_iterations", "str_sigma", "unknown_weight_scheme"])
     def test_rejects_wrong_types(self, kwargs):
         with pytest.raises(ValueError):
             AlgorithmSpec(family=Family.MIX_INCONS, **kwargs)

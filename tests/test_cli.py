@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,18 @@ class TestMix:
         assert code == EXIT_USAGE
         assert f"sample rate {rate} Hz" in capsys.readouterr().err
         assert not list((tmp_path / "mix").glob("*.wav"))
+
+    def test_empty_clean_exit_3(self, tmp_path, capsys):
+        # The mean power of no samples is nan, with numpy's RuntimeWarning; the isnr check blamed isnr_db.
+        write_wav(tmp_path / "c.wav", TimeSignal(np.zeros(0), 16000))
+        write_wav(tmp_path / "n.wav", TimeSignal(np.ones(100), 16000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["mix", "--clean", str(tmp_path / "c.wav"), "--noise", str(tmp_path / "n.wav"),
+                         "--isnr", "0", "--out", str(tmp_path / "mix")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "clean signal has no samples" in err and "isnr" not in err
 
     def test_same_seed_identical_outputs(self, audio_pair, tmp_path):
         clean, noise = audio_pair
@@ -523,6 +536,14 @@ class TestBenchmark:
         (tmp_path / "cfg.json").write_text(json.dumps({"manifest": "m.json", "output_dir": "out"}))
         assert main(["benchmark", "--config", str(tmp_path / "cfg.json")]) == EXIT_IO
         assert "allocate" in capsys.readouterr().err
+
+    def test_window_numpy_builds_empty_exit_3(self, tmp_path, capsys):
+        # np.arange(2**63) is empty; the config is refused before any item (c.wav is missing) is read.
+        manifest = {"items": [self.ITEM, {**self.ITEM, "split": "test"}], "window_length": 2**63, "hop": 16}
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        (tmp_path / "cfg.json").write_text(json.dumps({"manifest": "m.json", "output_dir": "out"}))
+        assert main(["benchmark", "--config", str(tmp_path / "cfg.json")]) == EXIT_USAGE
+        assert "window_length 9223372036854775808" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "nope.json")]) == EXIT_IO

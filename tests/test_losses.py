@@ -36,6 +36,13 @@ class TestMixingError:
 
 
 class TestInconsistency:
+    @pytest.mark.parametrize(("shape", "cons_shape", "match"), [((33, 5), None, "J x F x T"),
+                                                                ((2, 33, 5), (2, 33, 6), "consistent images")])
+    def test_shape_checks(self, small_cfg, shape, cons_shape, match):
+        cons = None if cons_shape is None else np.zeros(cons_shape, complex)
+        with pytest.raises(ValueError, match=match):
+            inconsistency(np.zeros(shape, complex), small_cfg, cons)
+
     def test_zero_for_stft_images(self, small_cfg, rng):
         _, specs = random_sources(rng, small_cfg)
         assert inconsistency(specs, small_cfg) < 1e-18 * np.sum(np.abs(specs) ** 2)
@@ -57,6 +64,10 @@ class TestInconsistency:
 
 
 class TestMagnitudeMismatch:
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="sources and magnitudes"):
+            magnitude_mismatch(np.ones((2, 4, 5), complex), np.ones((2, 4, 6)))
+
     def test_zero_on_match(self, rng):
         sources = rng.standard_normal((2, 4, 5)) + 1j * rng.standard_normal((2, 4, 5))
         assert magnitude_mismatch(sources, np.abs(sources)) == 0.0

@@ -147,6 +147,21 @@ class TestPMix:
         with pytest.raises(ValueError, match="shape mismatch"):
             p_mix(np.ones((2, 4, 5), complex), np.ones((4, 6), complex), np.full((2, 4, 5), 1.0 / 2))
 
+    @pytest.mark.parametrize(("shape", "weights_shape", "match"), [
+        ((4, 5), (4, 5), "J x F x T"),
+        ((0, 4, 5), (0, 4, 5), "J >= 1"),
+        ((2, 4, 5), (2, 4, 6), "sources and weights"),
+    ], ids=["two_dimensional", "no_sources", "weights_shape"])
+    def test_bad_source_set_or_weights_shape_rejected(self, shape, weights_shape, match):
+        with pytest.raises(ValueError, match=match):
+            p_mix(np.ones(shape, complex), np.ones((4, 5), complex), np.full(weights_shape, 0.5))
+
+    def test_nan_source_rejected(self):
+        sources = np.ones((2, 4, 5), complex)
+        sources[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="source set contains non-finite"):
+            p_mix(sources, np.ones((4, 5), complex), np.full((2, 4, 5), 0.5))
+
     @pytest.mark.parametrize("where", ["mixture", "weights"])
     def test_nan_mixture_or_weights_rejected(self, where):
         mixture, weights = np.ones((4, 5), complex), np.full((2, 4, 5), 1.0 / 2)

@@ -1,0 +1,32 @@
+"""``scripts/bench.py``, on which every speed claim rests: the one-row timing that its
+subprocesses print, and the arguments that a record needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench(*args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_row_prints_one_positive_time():
+    proc = _bench("--row", "4s/stft")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert float(line) > 0
+
+
+@pytest.mark.parametrize("args", [[], ["--out", "x.json", "--label", "a"]], ids=["no_args", "no_baseline"])
+def test_baseline_required(tmp_path, args):
+    proc = _bench(*args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "--baseline" in proc.stderr.splitlines()[-1]  # the error, not the usage line above it
+    assert not (tmp_path / "x.json").exists()

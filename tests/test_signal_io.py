@@ -67,6 +67,12 @@ class TestWav:
         with pytest.raises(IsADirectoryError):
             read_wav(tmp_path)
 
+    def test_nan_sample_rejected(self, tmp_path):
+        path = tmp_path / "nan.wav"
+        path.write_bytes(_wav(_fmt(3, 32), np.array([0.0, np.nan, 1.0], "<f4").tobytes()))
+        with pytest.raises(ValueError, match="non-finite samples"):
+            read_wav(path)
+
 
 def _fmt(tag, bits, rate=8000, channels=1, *, subformat=None, order="<", block_align=None, byte_rate=None):
     """A ``fmt `` chunk body; ``subformat`` makes it WAVE_FORMAT_EXTENSIBLE with that tag in its GUID."""
@@ -294,6 +300,13 @@ class TestSpgm:
             write_spectrogram(tmp_path / "c.spgm", m)
         assert not (tmp_path / "c.spgm").exists()
 
+    @pytest.mark.parametrize(("shape", "match"), [((3,), "2-D"), ((0, 2**32), "overflow")])
+    def test_bad_shape_rejected(self, tmp_path, shape, match):
+        # (0, 2**32) is 0 bytes, but its column count does not fit the header's u32.
+        with pytest.raises(ValueError, match=match):
+            write_spectrogram(tmp_path / "m.spgm", np.empty(shape))
+        assert not (tmp_path / "m.spgm").exists()
+
     def test_complex_payload_kind_rejected(self, tmp_path):
         # Kind 1 (complex float64) is not a payload kind of the format.
         path = tmp_path / "c.spgm"
@@ -404,6 +417,12 @@ class TestMixture:
         with pytest.raises(ValueError):
             make_mixture(clean, noise, 0.0, seed=0)
 
+    def test_rate_mismatch_rejected(self, rng):
+        clean = TimeSignal(rng.standard_normal(100), 16000)
+        noise = TimeSignal(rng.standard_normal(200), 8000)
+        with pytest.raises(ValueError, match="sample rate mismatch"):
+            make_mixture(clean, noise, 0.0, seed=0)
+
     def test_zero_power_crop_rejected(self):
         clean = TimeSignal(np.ones(100), 16000)
         noise = TimeSignal(np.zeros(100), 16000)
@@ -430,6 +449,10 @@ class TestMagnitudes:
         trace = run(AlgorithmSpec(family=Family.AM), mixture, mags, small_cfg)
         est = istft(trace.estimates[0], small_cfg, len(x))
         assert sdr(x, est) > 100
+
+    def test_oracle_unequal_lengths_rejected(self, small_cfg):
+        with pytest.raises(ValueError, match="equal lengths"):
+            oracle_magnitudes([TimeSignal(np.zeros(400), 8000), TimeSignal(np.zeros(401), 8000)], small_cfg)
 
     def test_degrade_level_zero_identity(self, rng):
         mags = rng.uniform(0, 1, (2, 8, 10))

@@ -46,6 +46,11 @@ class TestConfig:
         for hop in (64, 128, 256):
             StftConfig(window_length=1024, hop=hop)
 
+    def test_window_numpy_builds_empty_rejected(self):
+        # np.arange(2**63) is empty: the config must not build with a 0-sample window.
+        with pytest.raises(ValueError, match="window_length 9223372036854775808"):
+            StftConfig(window_length=2**63, hop=16)
+
     def test_cola_fails_at_half_overlap(self):
         # Squared Hann does not overlap-add to a constant at 50% overlap.
         with pytest.raises(ValueError, match="COLA"):
@@ -122,6 +127,14 @@ class TestIstft:
     def test_zero_spectrogram(self, full_cfg):
         spec = np.zeros((513, 66), complex)
         assert np.all(istft(spec, full_cfg, 16000) == 0)
+
+    @pytest.mark.parametrize(("spec", "match"), [(np.zeros((512, 66), complex), "513 frequency bins"),
+                                                  (np.zeros((2, 513, 66), complex), "513 frequency bins"),
+                                                  (np.full((513, 66), np.inf, complex), "non-finite")],
+                             ids=["bins", "three_dimensional", "inf"])
+    def test_bad_spectrogram_rejected(self, full_cfg, spec, match):
+        with pytest.raises(ValueError, match=match):
+            istft(spec, full_cfg, 16000)
 
     def test_length_mismatch_rejected(self, full_cfg, rng):
         spec = stft(rng.standard_normal(16000), full_cfg)
