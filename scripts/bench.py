@@ -30,12 +30,15 @@ sigma 1 where the family has one, 20 iterations unless the family fixes
 the count), the same ``run`` without its losses (``_nolosses``: the
 difference is what recording the losses costs) and one sweep task:
 ``experiment._process_item`` on one item at one degradation level, with the
-default sweep's 30 configurations.  The ``cold_import_cli`` row is a
-fresh ``python -c "import specinv.cli"`` on the side's ``src``: what every
-``specinv`` command pays before it starts.  Each subprocess times one row
-in wall-clock milliseconds from ``time.perf_counter``: one warm-up, then the
-median of 7 calls (7 fresh interpreters for ``cold_import_cli``), of 3 for
-a ``run`` or a sweep task.
+default sweep's 30 configurations.  ``noise_like`` draws the clip's noise as
+perfbench does, one second longer than the clip (5 s and 21 s).  The
+``cold_import_cli`` row is a fresh ``python -c "import specinv.cli"`` on the
+side's ``src``: what every ``specinv`` command pays before it starts;
+``cold_import_synth`` imports ``specinv.synth`` instead: what every process
+that builds inputs (perfbench, ``scripts/make_dataset.py``, the tests) pays.
+Each subprocess times one row in wall-clock milliseconds from
+``time.perf_counter``: one warm-up, then the median of 7 calls (7 fresh
+interpreters for a ``cold_import_*`` row), of 3 for a ``run`` or a sweep task.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ CLIPS = (4.0, 20.0)  # seconds
 REPEATS = 7
 RUN_REPEATS = 3  # a 20-iteration run is ~20 steps long; a sweep task ~560
 ROOT = Path(__file__).resolve().parent.parent
-COLD_IMPORT = "cold_import_cli"
+COLD_IMPORTS = {"cold_import_cli": "specinv.cli", "cold_import_synth": "specinv.synth"}  # row -> module
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -134,6 +137,7 @@ def clip_rows(seconds: float, tmp: Path):
     }
     spec = AlgorithmSpec(family=Family.MIX_INCONS_HARDMAG, sigma=1.0, iterations=20)
     layers = {
+        "noise_like": lambda: synth.noise_like(seconds + 1.0, cfg.sample_rate, seed=2),
         "stft": lambda: spectral.stft(samples, cfg),
         "istft": lambda: spectral.istft(mixture, cfg, n),
         "g_operator_1src": lambda: spectral.g_operator(sources[0], cfg),
@@ -150,10 +154,10 @@ def clip_rows(seconds: float, tmp: Path):
     return layers
 
 
-def cold_import_cli() -> None:
-    """A fresh interpreter that imports ``specinv.cli`` from the ``src`` this script imported specinv from."""
+def cold_import(module: str) -> None:
+    """A fresh interpreter that imports ``module`` from the ``src`` this script imported specinv from."""
     src = Path(specinv.__file__).resolve().parent.parent
-    subprocess.run([sys.executable, "-c", "import specinv.cli"], env={**os.environ, "PYTHONPATH": str(src)},
+    subprocess.run([sys.executable, "-c", f"import {module}"], env={**os.environ, "PYTHONPATH": str(src)},
                    check=True)
 
 
@@ -162,13 +166,13 @@ def time_row(name: str, fn) -> float:
 
 
 def row_names(tmp: Path) -> list[str]:
-    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)] + [COLD_IMPORT]
+    return [f"{s:g}s/{name}" for s in CLIPS for name in clip_rows(s, tmp)] + list(COLD_IMPORTS)
 
 
 def row_call(row: str, tmp: Path):
     """The call that ``row`` times."""
-    if row == COLD_IMPORT:
-        return cold_import_cli
+    if row in COLD_IMPORTS:
+        return functools.partial(cold_import, COLD_IMPORTS[row])
     clip, name = row.split("/", 1)
     return clip_rows(float(clip[:-1]), tmp)[name]
 

@@ -273,7 +273,10 @@ def load_manifest(path) -> DatasetManifest:
     _check_object(f"manifest {path}", doc, _MANIFEST_VALUES, required=("items",))
     for n, item in enumerate(doc["items"]):
         _check_object(f"manifest item {n}", item, _ITEM_VALUES, required=tuple(_ITEM_VALUES))
-    stft_cfg = StftConfig(**{key: doc[key] for key in _STFT_KEYS if key in doc})
+    try:
+        stft_cfg = StftConfig(**{key: doc[key] for key in _STFT_KEYS if key in doc})
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: {exc}") from None
     return DatasetManifest([ManifestItem(**it) for it in doc["items"]], stft_cfg, path.parent)
 
 

@@ -85,7 +85,10 @@ class StftConfig:
         # cancel in its overlap-add over N/hop >= 3 shifts, the second not over 2 (but at N = 2).
         if self.window_length // self.hop < 3:
             raise ValueError("window does not satisfy the COLA condition (window_length / hop must be >= 3)")
-        object.__setattr__(self, "window", hann_periodic(self.window_length))
+        try:
+            object.__setattr__(self, "window", hann_periodic(self.window_length))
+        except ValueError as exc:  # numpy refuses arrays of 2**60 floats or more
+            raise ValueError(f"window_length {self.window_length} is too large: {exc}") from None
         if self.window.size != self.window_length:  # np.arange(2**63) is empty
             raise ValueError(f"window_length {self.window_length} builds a {self.window.size}-sample window")
 

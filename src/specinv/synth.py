@@ -11,9 +11,13 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_io import DatasetManifest, ManifestItem, StftConfig, TimeSignal, save_manifest, write_wav
+
+_POLE = 0.92
+_WARMUP = 512  # steps from state 0 before a block's first sample: _POLE**512 ~ 3e-19
+_MIN_BLOCK = 128  # blocks of max(_MIN_BLOCK, sqrt(n) / 2) samples: steps x blocks is at most ~5n floats + a block
 
 
 def speech_like(duration: float, sample_rate: int, seed: int) -> TimeSignal:
@@ -37,13 +41,28 @@ def speech_like(duration: float, sample_rate: int, seed: int) -> TimeSignal:
     return TimeSignal(0.5 * x, sample_rate)
 
 
+def _one_pole(x: np.ndarray, gain: float) -> np.ndarray:
+    """``lfilter([gain], [1, -_POLE], x)`` bit for bit: blocks run side by side from ``_WARMUP`` steps early."""
+    warm, block = _WARMUP, max(_MIN_BLOCK, int(x.size**0.5 / 2))
+    padded = np.pad(x, (warm, block - x.size % block))  # whole blocks; the last is partly or wholly padding
+    work = np.zeros((warm + block + 1, x.size // block + 1))  # row s: each block's state after s steps, from 0
+    np.multiply(sliding_window_view(padded, warm + block)[::block].T, gain, out=work[1:])
+    for s in range(1, warm + block + 1):
+        work[s] += _POLE * work[s - 1]
+    bits = work.view(np.int64)  # -0.0 == 0.0 as floats, not as bits
+    for k in range(1, work.shape[1]):  # in order: a block rerun here is the reference of the next
+        if bits[warm, k] != bits[-1, k - 1]:  # its state before it is not the exact value: rerun it serially
+            acc = work[-1, k - 1]
+            for s in range(warm + 1, warm + block + 1):
+                work[s, k] = acc = gain * padded[k * block + s - 1] + _POLE * acc
+    return work[warm + 1:].T.ravel()[:x.size]
+
+
 def noise_like(duration: float, sample_rate: int, seed: int) -> TimeSignal:
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
-    white = rng.standard_normal(n)
-    # One-pole lowpass for a colored, environment-like spectrum.
-    alpha = 0.92
-    colored = lfilter([np.sqrt(1 - alpha**2)], [1.0, -alpha], white)
+    # One-pole lowpass of white noise for a colored, environment-like spectrum.
+    colored = _one_pole(rng.standard_normal(n), float(np.sqrt(1 - _POLE**2)))
     t = np.arange(n) / sample_rate
     level = 1.0 + 0.3 * np.sin(2 * np.pi * rng.uniform(0.2, 0.6) * t + rng.uniform(0, 2 * np.pi))
     colored *= level

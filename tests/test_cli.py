@@ -416,6 +416,8 @@ class TestBenchmark:
         ({"items": [{**ITEM, "seed": -1}]}, "'seed' must be an integer >= 0"),
         ({"items": [ITEM, {**ITEM, "seed": -1}]}, "item 1: 'seed'"),
         ({"items": [ITEM], "window": 512}, "window"),
+        ({"items": [ITEM], "hop": 300}, "hop must divide window_length"),
+        ({"items": [ITEM], "window_length": 2**62}, "window_length 4611686018427387904"),
     ])
     def test_bad_manifest_exit_3(self, tmp_path, capsys, manifest, named):
         (tmp_path / "m.json").write_text(json.dumps(manifest))
@@ -567,6 +569,21 @@ def test_cold_import_loads_no_scipy_or_multiprocessing():
     modules = ast.literal_eval(proc.stdout)
     assert "specinv.cli" in modules
     assert [m for m in modules if m.split(".")[0] in ("scipy", "multiprocessing")] == []
+
+
+def test_no_module_of_the_package_loads_scipy():
+    # synth's scipy.signal import took about 52 MB of every process that built its inputs.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import importlib, pkgutil, sys, specinv\n"
+            "names = [m.name for m in pkgutil.iter_modules(specinv.__path__, 'specinv.')]\n"
+            "for name in names: importlib.import_module(name)\n"
+            "print([names, sorted(sys.modules)])")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names, modules = ast.literal_eval(proc.stdout)
+    assert "specinv.synth" in names and set(names) <= set(modules)
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 class TestUsage:

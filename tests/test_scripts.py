@@ -24,6 +24,13 @@ def test_row_prints_one_positive_time():
     assert float(line) > 0
 
 
+def test_cold_import_synth_row_prints_one_positive_time():
+    proc = _bench("--row", "cold_import_synth")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert float(line) > 0
+
+
 @pytest.mark.parametrize("args", [[], ["--out", "x.json", "--label", "a"]], ids=["no_args", "no_baseline"])
 def test_baseline_required(tmp_path, args):
     proc = _bench(*args, cwd=tmp_path)
