@@ -56,7 +56,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 import specinv
 from specinv import algorithms, experiment, projectors, signal_io, spectral, synth
@@ -237,7 +236,6 @@ def machine() -> dict[str, object]:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "git_sha": sha,
     }
 

@@ -8,12 +8,17 @@ CLI, so older trees run too:
 1. ``synth.generate_dataset`` writes a 2+2-item dataset (seed 0), and ``specinv benchmark`` runs
    the default grid and degradation levels on it with ``record_timing: false``;
 2. ``specinv mix`` mixes the first validation item at 0 dB, and ``specinv separate`` runs each of
-   the ten ``--algo`` names at sigma 0 and 1 (20 iterations) from its oracle magnitudes.
+   the ten ``--algo`` names at sigma 0 and 1 (20 iterations) from its oracle magnitudes;
+3. ``stft``, ``istft`` and ``g_operator`` (of a 3-source set) run on seeded random inputs at
+   window/hop 16/4, 25/5, 48/8, 64/16 and 1024/256, each at 1, ``hop`` and 333 samples: the
+   fewest frames, where the head and tail padding meet, and short, odd lengths, which steps 1
+   and 2 (1024/256, 253 frames or more) never reach.  Each result is one ``.npy`` file.
 
-Every file that the two runs write is compared by SHA-256: the WAVs, ``manifest.json``, both
-CSVs and ``selections.json``; the mix and the magnitude files; each ``est_*.wav`` and
-``trace.csv``.  The script prints one JSON report and exits 1 if any file differs or exists on
-one side only.  It takes about a minute on a 2-vCPU machine.
+Every file that the two runs write, 123 in all, is compared by SHA-256: the WAVs,
+``manifest.json``, both CSVs and ``selections.json``; the mix and the magnitude files; each
+``est_*.wav`` and ``trace.csv``; the 45 transform results.  The script prints one JSON report
+and exits 1 if any file differs or exists on one side only.  It takes about a minute on a
+2-vCPU machine.
 
     PYTHONPATH=src python3 scripts/same_outputs.py --baseline HEAD
 """
@@ -32,11 +37,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALGOS = ("am", "misi", "mix_incons", "mix_incons_hardmag", "incons_hardmix", "mag_incons_hardmix",
          "mixture_proj", "stft_proj", "pu_iter", "griffin_lim")
+TRANSFORMS = ((16, 4), (25, 5), (48, 8), (64, 16), (1024, 256))  # window, hop
 
 
 def produce(out: Path) -> None:
     """Write every compared file under ``out``, with the specinv that ``sys.path`` finds."""
-    from specinv import StftConfig
+    import numpy as np
+
+    from specinv import StftConfig, g_operator, istft, stft
     from specinv.cli import main
     from specinv.signal_io import oracle_magnitudes, read_wav, write_spectrogram
     from specinv.synth import generate_dataset
@@ -58,6 +66,17 @@ def produce(out: Path) -> None:
         for sigma in ("0", "1"):
             cli("separate", "--mixture", out / "mix" / "mixture.wav", "--mags", *sorted((out / "mix").glob("s*.spgm")),
                 "--algo", algo, "--sigma", sigma, "--out", out / "separate" / f"{algo}_{sigma}")
+    (out / "transforms").mkdir()
+    for window, hop in TRANSFORMS:
+        cfg = StftConfig(window_length=window, hop=hop, sample_rate=8000)
+        for n in (1, hop, 333):
+            rng = np.random.default_rng([window, hop, n])
+            shape = (3, cfg.n_bins, cfg.num_frames(n))
+            spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            results = {"stft": stft(rng.standard_normal(n), cfg), "istft": istft(spec[0], cfg, n),
+                       "g_operator": g_operator(spec, cfg)}
+            for name, result in results.items():  # C order: a layout change alone changes no file
+                np.save(out / "transforms" / f"{window}_{hop}_{n}_{name}.npy", np.ascontiguousarray(result))
 
 
 def digests(src: Path, out: Path) -> dict[str, str]:

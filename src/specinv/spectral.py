@@ -2,8 +2,10 @@
 
 The forward transform uses a periodic Hann window with centered zero-padding,
 and the inverse is the weighted overlap-add least-squares synthesis (dual
-window = analysis window divided by the squared-window overlap sum).  With
-this pairing, ``g_operator`` (STFT followed by iSTFT) is a projection onto
+window = analysis window divided by the squared-window overlap sum; on the
+rows that every frame covers, the only ones that survive the crop, that sum
+is one row of ``hop`` values for any length: ``StftConfig.ola``).  With this
+pairing, ``g_operator`` (STFT followed by iSTFT) is a projection onto
 the set of consistent spectrograms: orthogonal in the bin-weighted norm
 (weight 1 at DC and Nyquist, 2 elsewhere: the two-sided spectrum seen from
 the one-sided one), oblique in the plain one that ``losses.py`` uses.
@@ -31,7 +33,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,7 +69,9 @@ class StftConfig:
     ``window_length`` at least 3 times, which is when the squared-window
     overlap-add sum is constant over interior samples.  Signals are
     zero-padded by ``window_length - hop`` samples on both sides so every
-    retained sample gets full window coverage.
+    retained sample gets full window coverage, so the iSTFT divides each
+    retained row of ``hop`` samples by one row, ``ola`` (>= 9/8): the squared
+    window's chunks of ``hop`` added from 0.0 in the order frames add them.
     """
 
     window_length: int = 1024
@@ -75,6 +79,7 @@ class StftConfig:
     sample_rate: int = 16000
 
     window: np.ndarray = field(init=False, repr=False, compare=False)
+    ola: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window_length < 1 or self.hop < 1:
@@ -91,6 +96,10 @@ class StftConfig:
             raise ValueError(f"window_length {self.window_length} is too large: {exc}") from None
         if self.window.size != self.window_length:  # np.arange(2**63) is empty
             raise ValueError(f"window_length {self.window_length} builds a {self.window.size}-sample window")
+        # Frames t, t + 1, ... add chunks c, c - 1, ... to row t + c: the last chunk first.
+        ola = reduce(np.add, (self.window**2).reshape(-1, self.hop)[::-1], np.zeros(self.hop))
+        ola.setflags(write=False)
+        object.__setattr__(self, "ola", ola)
 
     @property
     def pad(self) -> int:
@@ -137,13 +146,13 @@ def tf_layout(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _frame_range(cfg, ola, spec, buf, out, signals, a, b):
+def _frame_range(cfg, n_frames, spec, buf, out, signals, a, b):
     """Frames [a, b) of every source, from rows [a, b + h) of its padded signal: overlap-added
     from ``spec`` (J, T, F), or read from ``buf`` (J, T + h, hop).  Writes rows [h, T) to
     ``signals`` (J, T - h, hop) and the frames' ``rfft`` to ``out`` (J, T, F), where not None.
     Its scratch is the running thread's, kept between calls: new buffers would cost a page
     fault per page per call."""
-    ratio, h, n_frames = cfg.window_length // cfg.hop, cfg.pad // cfg.hop, len(ola) - cfg.pad // cfg.hop
+    ratio, h = cfg.window_length // cfg.hop, cfg.pad // cfg.hop
     lo, most = max(0, a - h), b - a + 2 * h  # the most frames, or signal rows, that the range needs
     if getattr(_scratch, "buf", np.empty(0)).size < (size := most * (cfg.window_length + cfg.hop)):
         _scratch.buf = np.empty(size)
@@ -158,8 +167,8 @@ def _frame_range(cfg, ola, spec, buf, out, signals, a, b):
             for c in range(ratio):  # chunk c of frame t lands on row t + c
                 t0, t1 = max(lo, a - c), min(n_frames, b + h - c)
                 acc[t0 + c - a : t1 + c - a] += chunks[t0 - lo : t1 - lo, c]
-            acc /= ola[a : b + h]
-            # Zeroing the padding is the iSTFT's crop and the STFT's re-pad.
+            acc /= cfg.ola  # right only on rows [h, T), the rows that every frame covers
+            # Zeroing the other rows, the padding, is the iSTFT's crop and the STFT's re-pad.
             acc[: max(0, h - a)] = 0.0
             acc[n_frames - a :] = 0.0
         rows = acc if buf is None else buf[j, a : b + h]
@@ -192,20 +201,8 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     buf = np.zeros((1, n_frames + cfg.pad // cfg.hop, cfg.hop))
     buf.reshape(-1)[cfg.pad : cfg.pad + x.size] = x
     out = np.empty((1, n_frames, cfg.n_bins), dtype=np.complex128)
-    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), None, buf, out, None), n_frames)
+    _fan_out(partial(_frame_range, cfg, n_frames, None, buf, out, None), n_frames)
     return out[0].T
-
-
-@lru_cache(maxsize=64)
-def _ola_window_sq(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    """Overlap-add of the squared window over ``n_frames`` frames, in rows of ``hop``; 1 where it is 0."""
-    acc = np.zeros((n_frames + cfg.pad // cfg.hop, cfg.hop))
-    sq = (cfg.window**2).reshape(-1, cfg.hop)
-    for t in range(n_frames):
-        acc[t : t + len(sq)] += sq
-    acc[acc <= 1e-300] = 1.0
-    acc.setflags(write=False)
-    return acc
 
 
 def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
@@ -218,8 +215,7 @@ def istft(spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
     if cfg.num_frames(out_len) != spec.shape[1]:
         raise ValueError("length mismatch")
     signal = np.empty((1, spec.shape[1] - cfg.pad // cfg.hop, cfg.hop))
-    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, spec.shape[1]), spec.T[None], None, None, signal),
-             spec.shape[1])
+    _fan_out(partial(_frame_range, cfg, spec.shape[1], spec.T[None], None, None, signal), spec.shape[1])
     return signal.reshape(-1)[:out_len]
 
 
@@ -249,7 +245,7 @@ def g_operator(spec: np.ndarray, cfg: StftConfig, *, check_finite: bool = True, 
     sources = spec.reshape((-1,) + spec.shape[-2:]).swapaxes(1, 2)
     out = np.empty((len(sources), n_frames, cfg.n_bins), dtype=np.complex128)
     signals = None if _signals is None else np.empty((len(sources), n_frames - cfg.pad // cfg.hop, cfg.hop))
-    _fan_out(partial(_frame_range, cfg, _ola_window_sq(cfg, n_frames), sources, None, out, signals), n_frames)
+    _fan_out(partial(_frame_range, cfg, n_frames, sources, None, out, signals), n_frames)
     if _signals is not None:
         _signals.extend(signals.reshape(len(sources), -1))
     return out.transpose(0, 2, 1).reshape(spec.shape)

@@ -19,7 +19,9 @@ from specinv.projectors import p_cons
 from specinv.spectral import StftConfig, g_operator, istft, stft
 
 WINDOWS = (16, 24, 25)  # hop 4, 4 and 5; the FFT length is the window
-LENGTHS = (37, 40, 41)  # 40 lies on the hop grid, 37 and 41 do not
+# 40 lies on the hop grid, 37 and 41 do not; 1 to 6 give the fewest frames (window/hop), where the
+# head and tail padding meet, and one or two more.
+LENGTHS = (37, 40, 41, 1, 4, 5, 6)
 RTOL = 1e-12
 
 
@@ -124,9 +126,11 @@ def test_istft_is_weighted_least_squares(window, n_samples):
 
 
 @pytest.mark.parametrize("window", WINDOWS)
-@pytest.mark.parametrize("n_frames", (6, 9))
+@pytest.mark.parametrize("n_frames", (6, 9, "window/hop"))  # window/hop: the fewest frames that span a sample
 def test_g_matches_dense_operator(window, n_frames):
     cfg = _cfg(window)
+    if n_frames == "window/hop":
+        n_frames = window // cfg.hop
     dense = _dense_g(cfg, n_frames)
     for s in _spectra(cfg, n_frames, 3, n_frames + window):
         _assert_close(g_operator(s, cfg), _apply_g(dense, s))

@@ -11,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _bench(*args, cwd=None):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def _bench(*args, cwd=None, path=()):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*map(str, path), str(ROOT / "src")])}
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -26,6 +26,16 @@ def test_row_prints_one_positive_time():
 
 def test_cold_import_synth_row_prints_one_positive_time():
     proc = _bench("--row", "cold_import_synth")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert float(line) > 0
+
+
+def test_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: a scipy that cannot be imported stops no row."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
+    proc = _bench("--row", "cold_import_cli", path=[tmp_path])
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert float(line) > 0

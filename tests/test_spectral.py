@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,52 @@ class TestBatchedGOperator:
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _ola_loop(cfg, n_frames):
+    """The squared window overlap-added frame by frame over ``n_frames`` frames, in rows of ``hop``."""
+    acc = np.zeros((n_frames + cfg.pad // cfg.hop, cfg.hop))
+    sq = (cfg.window**2).reshape(-1, cfg.hop)
+    for t in range(n_frames):
+        acc[t : t + len(sq)] += sq
+    return acc
+
+
+class TestOverlapAddRow:
+    """Only rows [h, T) of the overlap-add survive the iSTFT's crop, h = window/hop - 1.  Each holds
+    every chunk of the squared window, added in the same order, so one row divides them all."""
+
+    # TestThreadCountInvariance's configs, then the protocol's.  Added in ascending order, the chunks
+    # give other bits at each of them but 16/4: the test pins the order too.
+    @pytest.mark.parametrize("window,hop", [(16, 4), (24, 4), (25, 5), (64, 16), (48, 8), (1024, 256)])
+    @pytest.mark.parametrize("extra", [0, 1, 2, 5, 40])
+    def test_row_is_each_fully_covered_row_bit_for_bit(self, window, hop, extra):
+        cfg = StftConfig(window_length=window, hop=hop, sample_rate=8000)
+        n_frames = window // hop + extra
+        rows = _ola_loop(cfg, n_frames)[cfg.pad // hop : n_frames]
+        assert len(rows) == extra + 1 and cfg.ola.shape == (hop,) and not cfg.ola.flags.writeable
+        assert np.array_equal(_bits(rows), np.broadcast_to(_bits(cfg.ola), rows.shape))
+
+    def test_no_memory_kept_per_input_length(self, full_cfg):
+        # The longest length goes first, so that each thread's transform scratch has its final size.
+        lengths = [16000 + full_cfg.hop * k for k in range(64, -1, -1)]  # 65 frame counts
+        x = np.random.default_rng(0).standard_normal(lengths[0])
+
+        def transforms(n):
+            spec = stft(x[:n], full_cfg)
+            istft(spec, full_cfg, n)
+            g_operator(spec, full_cfg)
+
+        transforms(lengths[0])
+        tracemalloc.start()
+        try:
+            for n in lengths[1:]:
+                transforms(n)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # A cached overlap-add table per frame count would keep about 12 MiB over these lengths.
+        assert kept < 1 << 20
 
 
 class TestThreadCountInvariance:
