@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures  # its process pool, and multiprocessing, load on first use
 import json
+import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -64,7 +65,7 @@ _CONFIG_VALUES = {
     "families": _distinct_list(lambda v: True, "family names", Family),  # Family raises "not a valid Family"
     "sigma_grid": _distinct_list(lambda v: _is_real(v) and v >= 0, "numbers >= 0"),
     "degradation_levels": _distinct_list(lambda v: _is_real(v) and 0 <= v < SIGMA_INF, "finite numbers >= 0"),
-    "max_iterations": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "max_iterations": (lambda v: _is_int(v) and 1 <= v <= sys.maxsize, f"an integer from 1 to {sys.maxsize}"),
     "jobs": (lambda v: v is None or _is_int(v) and v >= 1, "an integer >= 1 or null"),
     "weight_scheme": (lambda v: v in algorithms.WEIGHT_SCHEMES, " or ".join(map(repr, algorithms.WEIGHT_SCHEMES))),
     "record_timing": (lambda v: isinstance(v, bool), "true or false"),
@@ -146,24 +147,16 @@ class ResultTable:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-# A job is one configuration plus the iterates to record: (spec, record_iters).
-_Job = tuple[AlgorithmSpec, tuple[int, ...]]
-
-
-def _sweep_jobs(cfg: SweepConfig) -> list[_Job]:
-    """One job per family and sigma: the grid where sigma enters the update,
-    else 0.  A row with a fixed iteration count runs and records that count;
-    the others run ``max_iterations`` and record every iterate."""
-    jobs = []
+def _sweep_jobs(cfg: SweepConfig) -> list[AlgorithmSpec]:
+    """One spec per family and sigma: the grid where sigma enters the update,
+    else 0; the row's fixed iteration count, else ``max_iterations``."""
+    specs = []
     for name in cfg.families:
         rule = RULES[Family(name)]
-        if rule.fixed_iterations is None:
-            iterations, record = cfg.max_iterations, tuple(range(1, cfg.max_iterations + 1))
-        else:
-            iterations, record = rule.fixed_iterations, (rule.fixed_iterations,)
-        for sigma in cfg.sigma_grid if rule.sigma_enters else [0.0]:
-            jobs.append((AlgorithmSpec(name, sigma, cfg.weight_scheme, iterations), record))
-    return jobs
+        iterations = cfg.max_iterations if rule.fixed_iterations is None else rule.fixed_iterations
+        specs += [AlgorithmSpec(name, sigma, cfg.weight_scheme, iterations)
+                  for sigma in (cfg.sigma_grid if rule.sigma_enters else [0.0])]
+    return specs
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ class _ItemTask:
     degradation: float
     record_timing: bool
     stft_cfg: StftConfig
-    jobs: tuple[_Job, ...]
+    jobs: tuple[AlgorithmSpec, ...]
 
     @property
     def item_id(self) -> str:
@@ -194,12 +187,16 @@ def _process_item(task: _ItemTask) -> list[ItemRecord]:
         mags = degrade_magnitudes(mags, level, (item.seed, int(round(level * 1e6))))  # per item and level
 
         records = []
-        for spec, record_iters in task.jobs:
+        for spec in task.jobs:
+            # Iterate spec.iterations is recorded, and in the sweep every iterate
+            # from 1 of a row without a fixed count, for select_best to choose from.
             # Iterate k's speech signal comes from run's G(S_k) where run computed
             # one, else from an istft probe.  wall_ms is run's clock: it leaves out
             # this observer and G(S_k), which counts in iterate k+1.
+            sweep = item.split == "validation" and RULES[spec.family].fixed_iterations is None
+
             def observe(k, sources, signals, seconds):
-                if k in record_iters:
+                if k == spec.iterations or (sweep and k >= 1):
                     speech = istft(sources[0], stft_cfg, len(clean)) if signals is None else signals[0][: len(clean)]
                     records.append(ItemRecord(spec.family.value, spec.sigma, k, item.isnr_db, level, item.split,
                                               task.item_id, sdr(clean.samples, speech),
@@ -225,7 +222,7 @@ def _run_tasks(tasks: list[_ItemTask], jobs: int | None) -> ResultTable:
         pool.shutdown(cancel_futures=True)  # after a failure, cancels the tasks not yet handed to a worker
 
 
-def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[_Job]) -> list[_ItemTask]:
+def _build_tasks(cfg: SweepConfig, split: str, algo_jobs: list[AlgorithmSpec]) -> list[_ItemTask]:
     manifest = load_manifest(cfg.manifest)
     tasks = [_ItemTask(manifest.root, item, level, cfg.record_timing, manifest.stft, tuple(algo_jobs))
              for item in manifest.split_items(split) for level in cfg.degradation_levels]
@@ -262,7 +259,7 @@ def evaluate_test(selections: dict[str, tuple[float, int]], cfg: SweepConfig) ->
         if name not in selections:
             raise ValueError(f"no selection for algorithm {name!r}")
         sigma, iters = selections[name]
-        jobs.append((AlgorithmSpec(name, sigma, cfg.weight_scheme, iters), (iters,)))
+        jobs.append(AlgorithmSpec(name, sigma, cfg.weight_scheme, iters))
     return _run_tasks(_build_tasks(cfg, "test", jobs), cfg.jobs)
 
 

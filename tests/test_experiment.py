@@ -153,22 +153,26 @@ class TestSweep:
 
 
 def test_default_sweep_jobs():
-    # The job list of the default configuration, as it was before the
+    # The spec list of the default configuration, as it was before the
     # families' iteration counts and sigma use were read from one table.
     grid = [0.0, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, SIGMA_INF]
-    every = tuple(range(1, 21))
     want = [
-        ("am", Family.AM, 0.0, 0, (0,)),
-        ("misi", Family.MISI, 0.0, 20, every),
-        *[("mix_incons", Family.MIX_INCONS, s, 20, every) for s in grid],
-        *[("mix_incons_hardmag", Family.MIX_INCONS_HARDMAG, s, 20, every) for s in grid],
-        ("incons_hardmix", Family.INCONS_HARDMIX, 0.0, 1, (1,)),
-        *[("mag_incons_hardmix", Family.MAG_INCONS_HARDMIX, s, 20, every) for s in grid],
+        ("am", Family.AM, 0.0, 0),
+        ("misi", Family.MISI, 0.0, 20),
+        *[("mix_incons", Family.MIX_INCONS, s, 20) for s in grid],
+        *[("mix_incons_hardmag", Family.MIX_INCONS_HARDMAG, s, 20) for s in grid],
+        ("incons_hardmix", Family.INCONS_HARDMIX, 0.0, 1),
+        *[("mag_incons_hardmix", Family.MAG_INCONS_HARDMIX, s, 20) for s in grid],
     ]
-    jobs = experiment._sweep_jobs(SweepConfig(manifest="m.json", output_dir="out"))
-    got = [(spec.family.value, spec.family, spec.sigma, spec.iterations, record) for spec, record in jobs]
-    assert got == want
-    assert {spec.weight_scheme for spec, _ in jobs} == {"magratio"}
+    specs = experiment._sweep_jobs(SweepConfig(manifest="m.json", output_dir="out"))
+    got = [(spec.family.value, spec.family, spec.sigma, spec.iterations, spec.weight_scheme) for spec in specs]
+    assert got == [(*row, "magratio") for row in want]
+
+
+def test_huge_max_iterations_holds_no_iterate_list():
+    specs = experiment._sweep_jobs(SweepConfig(manifest="m.json", output_dir="out", max_iterations=2**62))
+    assert len(specs) == 30
+    assert {spec.iterations for spec in specs} == {0, 1, 2**62}
 
 
 class TestJobs:
@@ -337,6 +341,7 @@ class TestConfigValidation:
         ("max_iterations", "x"),
         ("max_iterations", 2.5),
         ("max_iterations", True),
+        ("max_iterations", 2**63),  # above sys.maxsize: refused by name, not by an OverflowError later
         ("degradation_levels", ["0.2"]),
         ("degradation_levels", [float("inf")]),
         ("sigma_grid", [-1.0]),

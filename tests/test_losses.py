@@ -31,8 +31,10 @@ class TestMixingError:
         assert mixing_error(out, mixture) < 1e-10
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mixing_error(np.ones((2, 4, 5), complex), np.ones((4, 6), complex))
+        # (4, 1) broadcasts against the (4, 5) source sum: without the check it returns a number.
+        for mixture_shape in (4, 6), (4, 1):
+            with pytest.raises(ValueError, match="shape mismatch between sources and mixture"):
+                mixing_error(np.ones((2, 4, 5), complex), np.ones(mixture_shape, complex))
 
 
 class TestInconsistency:

@@ -95,6 +95,9 @@ def test_default_sweep_task_probes_87_iterates(one_item, tmp_path, monkeypatch):
     (task,) = experiment._build_tasks(cfg, "validation", jobs)
     records = experiment._process_item(task)
     assert len(jobs) == 30 and len(records) == 562
+    for spec in jobs:  # every iterate from 1 of a free row; the fixed rows' one count
+        ks = [r.iterations for r in records if (r.algorithm, r.sigma) == (spec.family.value, spec.sigma)]
+        assert ks == {"am": [0], "incons_hardmix": [1]}.get(spec.family.value, list(range(1, 21))), spec
     assert len(calls) == 1 + 3 * 20 + 1 + 25
 
     # Probed at every iterate, the records are the same, SDRs bit for bit.
