@@ -341,7 +341,6 @@ class TestConfigValidation:
         ("max_iterations", "x"),
         ("max_iterations", 2.5),
         ("max_iterations", True),
-        ("max_iterations", 2**63),  # above sys.maxsize: refused by name, not by an OverflowError later
         ("degradation_levels", ["0.2"]),
         ("degradation_levels", [float("inf")]),
         ("sigma_grid", [-1.0]),
@@ -354,6 +353,7 @@ class TestConfigValidation:
         ("families", ["misi", Family.MISI]),
         ("sigma_grid", [1, 1.0]),
         ("degradation_levels", [0.2, 0.2]),
+        ("max_iterations", 2**63),  # above sys.maxsize: refused by name, not by an OverflowError later
     ])
     def test_bad_value_named(self, key, value):
         with pytest.raises(ValueError, match=key):
